@@ -1,18 +1,17 @@
-// Open-loop load generator for the serving cores (BENCH_serve.json).
+// Open-loop load generator for the epoll serving core (BENCH_serve.json).
 //
-// Four phases, all against real TCP sockets on loopback:
+// Five phases, all against real TCP sockets on loopback:
 //
 //   capacity     fork-isolated connection ramp under RLIMIT_AS: how many
-//                concurrent connections can each serving core hold in the
-//                same address-space budget? Thread-per-connection pays an
-//                8MB stack per connection; the epoll core pays a few KB of
-//                buffers. The acceptance bar is epoll >= 4x threads.
+//                concurrent connections the epoll core holds in a fixed
+//                address-space budget (it pays a few KB of buffers per
+//                connection, no thread stack).
 //   equivalence  deterministic requests sent over both wire protocols to
 //                one epoll server must come back byte-identical.
 //   sweep        open-loop load (requests dispatched on a fixed schedule,
 //                never gated on responses) across connection counts, for
-//                threads/NDJSON, epoll/NDJSON and epoll/binary. Reports
-//                p50/p99 latency and sustained QPS per point.
+//                NDJSON and binary framing. Reports p50/p99 latency and
+//                sustained QPS per point.
 //   counters     at quiescence, admitted == completed_ok +
 //                deadline_exceeded + cancelled + failed.
 //   tenants      multi-tenant sweep (BENCH_tenant.json): T named tenants
@@ -67,7 +66,6 @@
 #include "service/socket_util.h"
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
-#include "service/line_server.h"
 #include "service/service.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -450,9 +448,8 @@ struct CapacityResult {
   bool hit_cap = false;  ///< stopped at --capacity-max, not at a failure
 };
 
-CapacityResult RunCapacityRamp(bool epoll_mode, size_t limit_mb,
-                               size_t max_conns, const std::string& kb_path,
-                               double scale) {
+CapacityResult RunCapacityRamp(size_t limit_mb, size_t max_conns,
+                               const std::string& kb_path, double scale) {
   CapacityResult result;
   int pipe_fds[2];
   if (pipe(pipe_fds) != 0) return result;
@@ -463,9 +460,7 @@ CapacityResult RunCapacityRamp(bool epoll_mode, size_t limit_mb,
     return result;
   }
   if (child == 0) {
-    // Server child: cap the address space, then serve until killed. The
-    // thread-per-connection core burns ~8MB of it per connection (stack);
-    // the epoll core a few KB of buffers — same budget, same KB.
+    // Server child: cap the address space, then serve until killed.
     close(pipe_fds[0]);
     signal(SIGPIPE, SIG_IGN);
     rlimit limit{};
@@ -484,14 +479,8 @@ CapacityResult RunCapacityRamp(bool epoll_mode, size_t limit_mb,
       service = remi::Service::Create(remi::bench::BuildDbpediaLike(scale));
     }
     int port = -1;
-    remi::LineServer line_server(service.get(), {});
-    remi::EventServerOptions event_options;
-    remi::EventServer event_server(service.get(), event_options);
-    if (epoll_mode) {
-      if (event_server.Start().ok()) port = event_server.port();
-    } else {
-      if (line_server.Start().ok()) port = line_server.port();
-    }
+    remi::EventServer event_server(service.get(), {});
+    if (event_server.Start().ok()) port = event_server.port();
     if (write(pipe_fds[1], &port, sizeof(port)) != sizeof(port)) _exit(3);
     close(pipe_fds[1]);
     for (;;) pause();  // parent SIGKILLs us
@@ -587,7 +576,6 @@ double JsonNumber(const remi::JsonValue& doc, const char* key) {
 }
 
 struct SweepRow {
-  std::string server;
   std::string wire;
   size_t connections = 0;
   LoadResult load;
@@ -906,28 +894,14 @@ int main(int argc, char** argv) {
   // ---- Capacity phase first: fork before this process owns threads. ----
   const std::string kb_path = flags.GetString("kb");
   const double scale = flags.GetDouble("scale");
-  CapacityResult cap_threads;
   CapacityResult cap_epoll;
   if (!flags.GetBool("skip-capacity")) {
     remi::bench::Banner("capacity under RLIMIT_AS");
-    const size_t limit_mb =
-        static_cast<size_t>(flags.GetInt("capacity-limit-mb"));
-    const size_t cap_max =
-        static_cast<size_t>(flags.GetInt("capacity-max"));
-    cap_threads =
-        RunCapacityRamp(/*epoll_mode=*/false, limit_mb, cap_max, kb_path,
-                        scale);
-    std::printf("  threads: %zu connections%s\n", cap_threads.sustained,
-                cap_threads.hit_cap ? " (hit ramp cap)" : "");
-    cap_epoll = RunCapacityRamp(/*epoll_mode=*/true, limit_mb, cap_max,
-                                kb_path, scale);
-    std::printf("  epoll:   %zu connections%s\n", cap_epoll.sustained,
+    cap_epoll = RunCapacityRamp(
+        static_cast<size_t>(flags.GetInt("capacity-limit-mb")),
+        static_cast<size_t>(flags.GetInt("capacity-max")), kb_path, scale);
+    std::printf("  epoll: %zu connections%s\n", cap_epoll.sustained,
                 cap_epoll.hit_cap ? " (hit ramp cap)" : "");
-    if (cap_threads.ran && cap_epoll.ran && cap_threads.sustained > 0) {
-      std::printf("  epoll/threads: %.1fx\n",
-                  static_cast<double>(cap_epoll.sustained) /
-                      static_cast<double>(cap_threads.sustained));
-    }
   }
 
   // ---- Shared service for the in-process phases. ----
@@ -1012,31 +986,21 @@ int main(int argc, char** argv) {
 
   std::vector<SweepRow> rows;
   for (const size_t connections : connection_counts) {
-    for (int variant = 0; variant < 3; ++variant) {
+    for (const bool binary : {false, true}) {
       SweepRow row;
-      row.server = variant == 0 ? "threads" : "epoll";
-      row.wire = variant == 2 ? "binary" : "ndjson";
+      row.wire = binary ? "binary" : "ndjson";
       row.connections = connections;
       LoadConfig config = base;
       config.connections = connections;
-      config.binary = variant == 2;
-      if (variant == 0) {
-        remi::LineServer server(service.get(), {});
-        REMI_CHECK_OK(server.Start());
-        config.port = server.port();
-        row.load = RunOpenLoopLoad(config);
-        server.Stop();
-      } else {
-        remi::EventServerOptions options;
-        remi::EventServer server(service.get(), options);
-        REMI_CHECK_OK(server.Start());
-        config.port = server.port();
-        row.load = RunOpenLoopLoad(config);
-        server.Stop();
-      }
-      std::printf("  C=%-4zu %-7s/%-6s p50=%7.2fms p99=%7.2fms "
+      config.binary = binary;
+      remi::EventServer server(service.get(), {});
+      REMI_CHECK_OK(server.Start());
+      config.port = server.port();
+      row.load = RunOpenLoopLoad(config);
+      server.Stop();
+      std::printf("  C=%-4zu %-6s p50=%7.2fms p99=%7.2fms "
                   "qps=%8.1f ok=%zu rejected=%zu errors=%zu%s\n",
-                  connections, row.server.c_str(), row.wire.c_str(),
+                  connections, row.wire.c_str(),
                   row.load.p50_ms, row.load.p99_ms, row.load.qps,
                   row.load.completed, row.load.rejected, row.load.errors,
                   row.load.ok ? "" : "  [FAILED]");
@@ -1184,19 +1148,12 @@ int main(int argc, char** argv) {
                "  \"equivalence\": {\"checked\": %zu, "
                "\"byte_identical\": %s},\n",
                equivalence_checked, equivalence_ok ? "true" : "false");
-  if (cap_threads.ran && cap_epoll.ran) {
-    std::fprintf(
-        out,
-        "  \"capacity\": {\"rlimit_as_mb\": %lld, "
-        "\"threads_connections\": %zu, \"epoll_connections\": %zu, "
-        "\"epoll_hit_ramp_cap\": %s, \"epoll_over_threads_x\": %.1f},\n",
-        static_cast<long long>(flags.GetInt("capacity-limit-mb")),
-        cap_threads.sustained,
-        cap_epoll.sustained, cap_epoll.hit_cap ? "true" : "false",
-        cap_threads.sustained > 0
-            ? static_cast<double>(cap_epoll.sustained) /
-                  static_cast<double>(cap_threads.sustained)
-            : 0.0);
+  if (cap_epoll.ran) {
+    std::fprintf(out,
+                 "  \"capacity\": {\"rlimit_as_mb\": %lld, "
+                 "\"epoll_connections\": %zu, \"epoll_hit_ramp_cap\": %s},\n",
+                 static_cast<long long>(flags.GetInt("capacity-limit-mb")),
+                 cap_epoll.sustained, cap_epoll.hit_cap ? "true" : "false");
   }
   std::fprintf(out, "  \"counters_consistent\": %s,\n",
                counters_consistent ? "true" : "false");
@@ -1204,11 +1161,11 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
     std::fprintf(out,
-                 "    {\"server\": \"%s\", \"wire\": \"%s\", "
+                 "    {\"server\": \"epoll\", \"wire\": \"%s\", "
                  "\"connections\": %zu, \"p50_ms\": %.3f, "
                  "\"p99_ms\": %.3f, \"qps\": %.1f, \"completed\": %zu, "
                  "\"rejected\": %zu, \"errors\": %zu}%s\n",
-                 row.server.c_str(), row.wire.c_str(), row.connections,
+                 row.wire.c_str(), row.connections,
                  row.load.p50_ms, row.load.p99_ms, row.load.qps,
                  row.load.completed, row.load.rejected, row.load.errors,
                  i + 1 < rows.size() ? "," : "");

@@ -38,6 +38,10 @@ EventServer::EventServer(Service* service, const EventServerOptions& options)
 EventServer::~EventServer() { Stop(); }
 
 Status EventServer::Start() {
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(options_.port) +
+                                   " is outside [0, 65535]");
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
@@ -150,7 +154,7 @@ bool EventServer::Drain(double grace_seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   // Grace used up (or everything finished): either way the server ends
-  // fully stopped, mirroring LineServer::Drain.
+  // fully stopped.
   Stop();
   return all_done;
 }

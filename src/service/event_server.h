@@ -1,6 +1,5 @@
-// An epoll-based nonblocking front end for remi::Service — the
-// production transport (LineServer remains as the thread-per-connection
-// reference implementation).
+// An epoll-based nonblocking front end for remi::Service — the one
+// serving core behind tools/remi_server.cc.
 //
 // One event-loop thread multiplexes every connection through epoll
 // (level-triggered) over nonblocking sockets: accept, read, and write
@@ -17,8 +16,8 @@
 //     (frame_codec.h). One connection carries many in-flight requests;
 //     responses complete out of order and are matched by id. Payloads are
 //     the same JSON documents as the NDJSON protocol.
-//   * NDJSON ('{' or whitespace): the LineServer debug protocol,
-//     byte-compatible — one JSON request per line, responses in order.
+//   * NDJSON ('{' or whitespace): the debug line protocol (json_codec.h)
+//     — one JSON request per line, responses in order.
 //
 // Backpressure is explicit in both directions: a connection whose write
 // buffer exceeds its budget stops being read (EPOLLIN is dropped until
@@ -50,12 +49,14 @@ namespace remi {
 struct EventServerOptions {
   /// IPv4 address to bind; loopback by default (the server has no auth).
   std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
+  /// TCP port in [0, 65535]; 0 picks an ephemeral port (read it back via
+  /// port()).
   int port = 0;
   /// listen(2) backlog.
   int backlog = 128;
   /// NDJSON request lines longer than this poison the connection (one
-  /// error response, then close) — same contract as LineServerOptions.
+  /// error response, then close). Enforced on complete lines as well as
+  /// the unterminated tail.
   size_t max_line_bytes = 1 << 20;
   /// Binary frames declaring a longer payload poison the connection
   /// before the payload is buffered (one error frame, then close).
@@ -87,7 +88,8 @@ struct EventServerOptions {
 };
 
 /// \brief Accepts connections and serves both wire protocols until
-/// Stop(). One-shot, like LineServer: a stopped server cannot restart.
+/// Stop(). One-shot: a stopped server cannot restart (Stop() fires the
+/// server-wide cancellation token that bounds in-flight work).
 class EventServer {
  public:
   /// \param service the request handler (not owned; must outlive the
@@ -100,7 +102,8 @@ class EventServer {
   EventServer& operator=(const EventServer&) = delete;
 
   /// Binds, listens, and starts the loop + dispatch threads. IoError on
-  /// bind/listen/epoll failure; InvalidArgument on a bad bind address.
+  /// bind/listen/epoll failure; InvalidArgument on a bad bind address or
+  /// a port outside [0, 65535].
   Status Start();
 
   /// Hard stop: closes the listener and every connection, cancels
@@ -108,10 +111,10 @@ class EventServer {
   /// joins every thread. Idempotent; also run by the destructor.
   void Stop();
 
-  /// Graceful shutdown, same contract as LineServer::Drain: stop
-  /// accepting, half-close every connection (SHUT_RD — requests already
-  /// received, including frames already admitted to a connection's
-  /// queue, keep executing and their responses still flush), wait up to
+  /// Graceful shutdown: stop accepting (new connects are refused),
+  /// half-close every connection (SHUT_RD — requests already received,
+  /// including frames already admitted to a connection's queue, keep
+  /// executing and their responses still flush), wait up to
   /// `grace_seconds`, then cancel whatever is left and hard-stop.
   /// Returns true iff every connection finished within the grace period.
   bool Drain(double grace_seconds);

@@ -124,33 +124,25 @@ Status ReadQuota(const JsonValue& v, std::optional<TenantQuota>* quota) {
   return Status::OK();
 }
 
-/// Sets one tenant's counter slice onto `out` (field names match the
-/// service-wide CountersToJson where the concepts coincide).
+/// Sets the request-ledger fields onto `out`: the one field list shared
+/// by the service-wide and the per-tenant counter documents.
+void SetLedgerFields(const RequestLedger& c, JsonValue* out) {
+  for (const LedgerField& field : kLedgerFields) {
+    out->Set(field.key,
+             JsonValue::Number(static_cast<double>(c.*field.member)));
+  }
+}
+
+/// Sets one tenant's counter slice onto `out`: its ledger, admission
+/// gauges and serving generation.
 void SetTenantCounterFields(const TenantCounters& c, JsonValue* out) {
-  out->Set("admitted", JsonValue::Number(static_cast<double>(c.admitted)));
-  out->Set("completed_ok",
-           JsonValue::Number(static_cast<double>(c.completed_ok)));
-  out->Set("deadline_exceeded",
-           JsonValue::Number(static_cast<double>(c.deadline_exceeded)));
-  out->Set("cancelled", JsonValue::Number(static_cast<double>(c.cancelled)));
-  out->Set("rejected", JsonValue::Number(static_cast<double>(c.rejected)));
-  out->Set("failed", JsonValue::Number(static_cast<double>(c.failed)));
-  out->Set("shed_expired_in_queue",
-           JsonValue::Number(static_cast<double>(c.shed_expired_in_queue)));
+  SetLedgerFields(c, out);
   out->Set("in_flight", JsonValue::Number(static_cast<double>(c.in_flight)));
   out->Set("queued", JsonValue::Number(static_cast<double>(c.queued)));
   out->Set("peak_in_flight",
            JsonValue::Number(static_cast<double>(c.peak_in_flight)));
-  out->Set("reloads_ok",
-           JsonValue::Number(static_cast<double>(c.reloads_ok)));
-  out->Set("reloads_rejected",
-           JsonValue::Number(static_cast<double>(c.reloads_rejected)));
   out->Set("generation",
            JsonValue::Number(static_cast<double>(c.generation)));
-  out->Set("nodes_visited_total",
-           JsonValue::Number(static_cast<double>(c.nodes_visited_total)));
-  out->Set("mine_micros_total",
-           JsonValue::Number(static_cast<double>(c.mine_micros_total)));
 }
 
 /// One target array: strings are lexical forms, numbers are raw ids.
@@ -365,18 +357,7 @@ JsonValue CountersToJson(const Service& service) {
           JsonValue::Number(static_cast<double>(kb->NumEntities())));
   out.Set("predicates", JsonValue::Number(static_cast<double>(
                             kb->NumPredicates())));
-  out.Set("admitted",
-          JsonValue::Number(static_cast<double>(counters.admitted)));
-  out.Set("completed_ok",
-          JsonValue::Number(static_cast<double>(counters.completed_ok)));
-  out.Set("deadline_exceeded", JsonValue::Number(static_cast<double>(
-                                   counters.deadline_exceeded)));
-  out.Set("cancelled",
-          JsonValue::Number(static_cast<double>(counters.cancelled)));
-  out.Set("rejected",
-          JsonValue::Number(static_cast<double>(counters.rejected)));
-  out.Set("failed",
-          JsonValue::Number(static_cast<double>(counters.failed)));
+  SetLedgerFields(counters, &out);
   out.Set("in_flight",
           JsonValue::Number(static_cast<double>(counters.in_flight)));
   out.Set("peak_in_flight", JsonValue::Number(
@@ -385,18 +366,11 @@ JsonValue CountersToJson(const Service& service) {
           JsonValue::Number(static_cast<double>(counters.generation)));
   out.Set("active_generations", JsonValue::Number(static_cast<double>(
                                     counters.active_generations)));
-  out.Set("reloads_ok",
-          JsonValue::Number(static_cast<double>(counters.reloads_ok)));
-  out.Set("reloads_rejected", JsonValue::Number(static_cast<double>(
-                                  counters.reloads_rejected)));
   out.Set("accept_errors_retried",
           JsonValue::Number(
               static_cast<double>(counters.accept_errors_retried)));
   out.Set("accept_errors_fatal",
           JsonValue::Number(static_cast<double>(counters.accept_errors_fatal)));
-  out.Set("shed_expired_in_queue",
-          JsonValue::Number(
-              static_cast<double>(counters.shed_expired_in_queue)));
   out.Set("brownout_rejected",
           JsonValue::Number(static_cast<double>(counters.brownout_rejected)));
   out.Set("brownout_active", JsonValue::Bool(counters.brownout_active));
@@ -406,10 +380,6 @@ JsonValue CountersToJson(const Service& service) {
   out.Set("connections_reaped_write_stall",
           JsonValue::Number(static_cast<double>(
               counters.connections_reaped_write_stall)));
-  out.Set("nodes_visited_total",
-          JsonValue::Number(static_cast<double>(counters.nodes_visited_total)));
-  out.Set("mine_micros_total",
-          JsonValue::Number(static_cast<double>(counters.mine_micros_total)));
   // --- multi-tenant gauges + per-tenant breakdown ---
   out.Set("tenants_active",
           JsonValue::Number(static_cast<double>(counters.tenants_active)));

@@ -1,7 +1,8 @@
-// JSON mapping of the Service request/response contracts — the wire half
-// of the newline-delimited-JSON line protocol served by LineServer
-// (tools/remi_server). Requests map 1:1 onto the structs in service.h; the
-// codec only translates, the Service enforces the contracts.
+// JSON mapping of the Service request/response contracts — the payloads
+// of both wire protocols the EventServer serves (tools/remi_server): the
+// newline-delimited-JSON line protocol and the binary frames. Requests map
+// 1:1 onto the structs in service.h; the codec only translates, the
+// Service enforces the contracts.
 //
 // Request lines (one JSON object per line):
 //

@@ -68,13 +68,10 @@ ReloadKbResponse Service::ReloadKb(const ReloadKbRequest& request) {
     ReloadKbResponse response;
     response.status =
         Status::NotFound("unknown kb '" + request.kb + "'");
-    reloads_rejected_.fetch_add(1, std::memory_order_relaxed);
+    unknown_kb_reloads_rejected_.fetch_add(1, std::memory_order_relaxed);
     return response;
   }
-  ReloadKbResponse response = tenant->Reload(request.spec);
-  (response.status.ok() ? reloads_ok_ : reloads_rejected_)
-      .fetch_add(1, std::memory_order_relaxed);
-  return response;
+  return tenant->Reload(request.spec);
 }
 
 // --- multi-tenant registry ---------------------------------------------------
@@ -160,9 +157,8 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
   // admitted (it was accepted, not rejected) so the identity
   // admitted == ok + deadline_exceeded + cancelled + failed holds.
   if (deadline.Expired()) {
-    admitted_.fetch_add(1, std::memory_order_relaxed);
     tenant.RecordAdmitted();
-    RecordShedLocked(tenant);
+    tenant.RecordShedExpired();
     *queue_wait_seconds = timer.ElapsedSeconds();
     return Status::DeadlineExceeded("deadline already expired at admission");
   }
@@ -172,7 +168,6 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
     // shared queue than its quota allows — that is the isolation
     // property: other tenants keep finding global queue room.
     if (tenant_full() && adm.queued >= quota.max_queued) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       tenant.RecordRejected();
       return Status::ResourceExhausted(
           "kb '" + tenant.name() + "': " + std::to_string(adm.in_flight) +
@@ -185,7 +180,6 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
         // Only the tightened brownout depth rejected this caller.
         brownout_rejected_.fetch_add(1, std::memory_order_relaxed);
       }
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       tenant.RecordRejected();
       return Status::ResourceExhausted(
           std::to_string(in_flight_) + " requests in flight and " +
@@ -202,9 +196,8 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
       if (deadline.Expired()) {
         --queued_;
         --adm.queued;
-        admitted_.fetch_add(1, std::memory_order_relaxed);
         tenant.RecordAdmitted();
-        RecordShedLocked(tenant);
+        tenant.RecordShedExpired();
         *queue_wait_seconds = timer.ElapsedSeconds();
         RecordQueueWaitLocked(*queue_wait_seconds);
         return Status::DeadlineExceeded("deadline expired while queued");
@@ -212,7 +205,6 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
       if (cancel.CancellationRequested()) {
         --queued_;
         --adm.queued;
-        admitted_.fetch_add(1, std::memory_order_relaxed);
         tenant.RecordAdmitted();
         *queue_wait_seconds = timer.ElapsedSeconds();
         RecordQueueWaitLocked(*queue_wait_seconds);
@@ -226,9 +218,8 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
     // (the 10ms poll can land after expiry): re-check before burning a
     // dispatch slot on a request that is already dead.
     if (deadline.Expired()) {
-      admitted_.fetch_add(1, std::memory_order_relaxed);
       tenant.RecordAdmitted();
-      RecordShedLocked(tenant);
+      tenant.RecordShedExpired();
       *queue_wait_seconds = timer.ElapsedSeconds();
       RecordQueueWaitLocked(*queue_wait_seconds);
       admission_cv_.notify_all();  // the slot we declined is still free
@@ -239,16 +230,10 @@ Status Service::Admit(Tenant& tenant, const Deadline& deadline,
   ++adm.in_flight;
   peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
   adm.peak_in_flight = std::max(adm.peak_in_flight, adm.in_flight);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
   tenant.RecordAdmitted();
   *queue_wait_seconds = timer.ElapsedSeconds();
   RecordQueueWaitLocked(*queue_wait_seconds);
   return Status::OK();
-}
-
-void Service::RecordShedLocked(Tenant& tenant) {
-  shed_expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-  tenant.RecordShedExpired();
 }
 
 void Service::RecordQueueWaitLocked(double wait_seconds) {
@@ -311,15 +296,6 @@ void Service::RecordAcceptError(bool fatal) {
       .fetch_add(1, std::memory_order_relaxed);
 }
 
-void Service::RecordMiningStats(Tenant& tenant, const RemiStats& stats,
-                                double mine_seconds) {
-  const uint64_t micros = static_cast<uint64_t>(mine_seconds * 1e6);
-  nodes_visited_total_.fetch_add(stats.nodes_visited,
-                                 std::memory_order_relaxed);
-  mine_micros_total_.fetch_add(micros, std::memory_order_relaxed);
-  tenant.RecordMiningStats(stats.nodes_visited, micros);
-}
-
 uint64_t Service::ComputeRetryAfterMs(size_t queued, size_t max_in_flight,
                                       double mean_service_ms,
                                       uint32_t jitter256) {
@@ -362,21 +338,9 @@ uint64_t Service::RetryAfterMsHint(const std::string& kb) const {
       slots = options_.max_in_flight;
     }
   }
-  double mean_service_ms;
-  if (tenant_gate) {
-    mean_service_ms = tenant->MeanServiceMs();
-  } else {
-    const uint64_t completed =
-        completed_ok_.load(std::memory_order_relaxed) +
-        deadline_exceeded_.load(std::memory_order_relaxed) +
-        cancelled_.load(std::memory_order_relaxed);
-    mean_service_ms =
-        completed > 0
-            ? static_cast<double>(
-                  mine_micros_total_.load(std::memory_order_relaxed)) /
-                  (1000.0 * static_cast<double>(completed))
-            : 0.0;
-  }
+  const double mean_service_ms =
+      tenant_gate ? tenant->counters().MeanServiceMs()
+                  : registry_->LedgerTotals().MeanServiceMs();
   // Cheap xorshift jitter off a per-call counter: no <random> state, no
   // lock, good enough to de-synchronize retrying clients.
   static std::atomic<uint32_t> jitter_state{0x9e3779b9u};
@@ -386,37 +350,17 @@ uint64_t Service::RetryAfterMsHint(const std::string& kb) const {
   return ComputeRetryAfterMs(queued, slots, mean_service_ms, j);
 }
 
-void Service::CountOutcome(Tenant& tenant, const Status& status) {
-  if (status.ok()) {
-    completed_ok_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsDeadlineExceeded()) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsCancelled()) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-  }
-  tenant.RecordOutcome(status);
-}
-
 ServiceCounters Service::counters() const {
   ServiceCounters c;
-  c.admitted = admitted_.load(std::memory_order_relaxed);
-  c.completed_ok = completed_ok_.load(std::memory_order_relaxed);
-  c.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  c.cancelled = cancelled_.load(std::memory_order_relaxed);
-  c.rejected = rejected_.load(std::memory_order_relaxed);
-  c.failed = failed_.load(std::memory_order_relaxed);
-  c.reloads_ok = reloads_ok_.load(std::memory_order_relaxed);
-  c.reloads_rejected = reloads_rejected_.load(std::memory_order_relaxed);
+  static_cast<RequestLedger&>(c) = registry_->LedgerTotals();
+  c.reloads_rejected +=
+      unknown_kb_reloads_rejected_.load(std::memory_order_relaxed);
   c.generation = generation();
   c.active_generations = live_epochs_->load(std::memory_order_relaxed);
   c.tenants_active = registry_->tenants_active();
   c.accept_errors_retried =
       accept_errors_retried_.load(std::memory_order_relaxed);
   c.accept_errors_fatal = accept_errors_fatal_.load(std::memory_order_relaxed);
-  c.nodes_visited_total = nodes_visited_total_.load(std::memory_order_relaxed);
-  c.mine_micros_total = mine_micros_total_.load(std::memory_order_relaxed);
-  c.shed_expired_in_queue =
-      shed_expired_in_queue_.load(std::memory_order_relaxed);
   c.brownout_rejected = brownout_rejected_.load(std::memory_order_relaxed);
   c.connections_reaped_idle =
       connections_reaped_idle_.load(std::memory_order_relaxed);
@@ -586,7 +530,7 @@ Result<MineResponse> Service::Mine(const MineRequest& request) {
     MineResponse response;
     response.status = admitted;
     response.service.queue_wait_seconds = queue_wait;
-    CountOutcome(*tenant, admitted);
+    tenant->RecordOutcome(admitted);
     return response;
   }
   // Pin after admission, not before: the request runs on the tenant's
@@ -615,20 +559,18 @@ Result<MineResponse> Service::Mine(const MineRequest& request) {
         *targets, request.max_exceptions, control);
     if (!mined.ok()) return mined.status();
     service_stats.mine_seconds = mine_timer.ElapsedSeconds();
-    RecordMiningStats(*tenant, mined->stats, service_stats.mine_seconds);
+    tenant->RecordMiningStats(mined->stats.nodes_visited,
+                              service_stats.mine_seconds);
 
     MineResponse response = BuildMineResponse(*epoch, *mined,
                                               request.verbalize,
                                               std::move(*targets));
     response.service = service_stats;
-    CountOutcome(*tenant, response.status);
+    tenant->RecordOutcome(response.status);
     return response;
   };
   auto result = run();
-  if (!result.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tenant->RecordFailed();
-  }
+  if (!result.ok()) tenant->RecordFailed();
   Release(*tenant);
   return result;
 }
@@ -648,7 +590,7 @@ Result<BatchMineResponse> Service::BatchMine(const BatchMineRequest& request) {
     BatchMineResponse response;
     response.status = admitted;
     response.service.queue_wait_seconds = queue_wait;
-    CountOutcome(*tenant, admitted);
+    tenant->RecordOutcome(admitted);
     return response;
   }
   std::shared_ptr<KbEpoch> epoch = tenant->CurrentEpoch();
@@ -682,11 +624,11 @@ Result<BatchMineResponse> Service::BatchMine(const BatchMineRequest& request) {
     auto mined = miner->MineBatch(sets, request.max_exceptions, control);
     if (!mined.ok()) return mined.status();
     response.service.mine_seconds = mine_timer.ElapsedSeconds();
-    RemiStats batch_stats;
+    uint64_t nodes_visited = 0;
     for (const RemiResult& item : *mined) {
-      batch_stats.nodes_visited += item.stats.nodes_visited;
+      nodes_visited += item.stats.nodes_visited;
     }
-    RecordMiningStats(*tenant, batch_stats, response.service.mine_seconds);
+    tenant->RecordMiningStats(nodes_visited, response.service.mine_seconds);
 
     bool any_timed_out = false;
     bool any_cancelled = false;
@@ -702,14 +644,11 @@ Result<BatchMineResponse> Service::BatchMine(const BatchMineRequest& request) {
     } else if (any_timed_out) {
       response.status = Status::DeadlineExceeded("batch deadline expired");
     }
-    CountOutcome(*tenant, response.status);
+    tenant->RecordOutcome(response.status);
     return response;
   };
   auto result = run();
-  if (!result.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tenant->RecordFailed();
-  }
+  if (!result.ok()) tenant->RecordFailed();
   Release(*tenant);
   return result;
 }
@@ -729,7 +668,7 @@ Result<SummarizeResponse> Service::Summarize(const SummarizeRequest& request) {
     SummarizeResponse response;
     response.status = admitted;
     response.service.queue_wait_seconds = queue_wait;
-    CountOutcome(*tenant, admitted);
+    tenant->RecordOutcome(admitted);
     return response;
   }
   std::shared_ptr<KbEpoch> epoch = tenant->CurrentEpoch();
@@ -764,7 +703,7 @@ Result<SummarizeResponse> Service::Summarize(const SummarizeRequest& request) {
     response.service.mine_seconds = mine_timer.ElapsedSeconds();
     // RemiSummarize doesn't surface per-run RemiStats; the time still
     // feeds the mean-service-time estimate behind RetryAfterMsHint().
-    RecordMiningStats(*tenant, RemiStats{}, response.service.mine_seconds);
+    tenant->RecordMiningStats(0, response.service.mine_seconds);
     if (!summary.ok()) {
       if (!summary.status().IsDeadlineExceeded() &&
           !summary.status().IsCancelled()) {
@@ -778,14 +717,11 @@ Result<SummarizeResponse> Service::Summarize(const SummarizeRequest& request) {
                                        " = " + epoch->kb.Label(item.object));
       }
     }
-    CountOutcome(*tenant, response.status);
+    tenant->RecordOutcome(response.status);
     return response;
   };
   auto result = run();
-  if (!result.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    tenant->RecordFailed();
-  }
+  if (!result.ok()) tenant->RecordFailed();
   Release(*tenant);
   return result;
 }

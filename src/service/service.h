@@ -8,7 +8,7 @@
 // its own epoch chain (KB generations + match-set caches + warm variant
 // miners), all served through one long-lived work-stealing thread pool
 // and one global admission controller. Consumers (the CLI, the wire
-// servers, examples, harnesses) talk to this API only; the layers below
+// server, examples, harnesses) talk to this API only; the layers below
 // (RemiMiner, Evaluator, Verbalizer, the summarizer) are implementation
 // detail they no longer wire up by hand.
 //
@@ -262,21 +262,12 @@ struct ReloadKbRequest {
   KbSpec spec;
 };
 
-/// Service-wide request counters (monotonic since construction). At
-/// quiescence, admitted == completed_ok + deadline_exceeded + cancelled
-/// + failed; rejected requests were never admitted. All request fields
-/// aggregate over every tenant; the per-tenant split is CountersFor().
-struct ServiceCounters {
-  uint64_t admitted = 0;
-  uint64_t completed_ok = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t cancelled = 0;
-  uint64_t rejected = 0;  ///< kResourceExhausted at admission
-  uint64_t failed = 0;    ///< admitted but invalid (bad targets etc.)
-  /// Requests whose deadline had already expired at admission or while
-  /// queued: shed in-band with DeadlineExceeded *before* any mining work
-  /// (a subset of deadline_exceeded; nodes_visited_total is untouched).
-  uint64_t shed_expired_in_queue = 0;
+/// Service-wide counters. The request ledger (RequestLedger's fields,
+/// monotonic since construction) is the sum of every tenant's slice —
+/// open, detached-and-draining, and retired — so it reconciles with
+/// CountersFor() by construction; reloads_rejected additionally counts
+/// reloads of unknown kb names. The rest are service-only fields.
+struct ServiceCounters : RequestLedger {
   /// Callers rejected only because brownout tightened the queue depth
   /// (the full max_queued would have let them wait).
   uint64_t brownout_rejected = 0;
@@ -286,8 +277,6 @@ struct ServiceCounters {
   size_t in_flight = 0;
   size_t peak_in_flight = 0;
   // --- hot-swap registry ---
-  uint64_t reloads_ok = 0;        ///< published generations (beyond the first)
-  uint64_t reloads_rejected = 0;  ///< fail-closed ReloadKb calls
   /// The default tenant's serving generation (generations are
   /// per-tenant; see CountersFor for named tenants).
   uint64_t generation = 0;
@@ -300,7 +289,7 @@ struct ServiceCounters {
   /// Open tenants (the default one counts; lazy catalog entries don't
   /// until first use).
   size_t tenants_active = 0;
-  // --- transport health (reported by the wire servers) ---
+  // --- transport health (reported by the wire server) ---
   /// accept(2) failures survived and retried (EPROTO, EMFILE bursts, ...).
   /// A growing value with zero new connections is the old zombie-accept
   /// signature, now visible instead of silent.
@@ -314,9 +303,6 @@ struct ServiceCounters {
   /// --write-stall-timeout-ms — the slow-loris signature).
   uint64_t connections_reaped_idle = 0;
   uint64_t connections_reaped_write_stall = 0;
-  // --- aggregated mining stats (the "counters" verb's RemiStats view) ---
-  uint64_t nodes_visited_total = 0;  ///< DFS nodes across all admitted runs
-  uint64_t mine_micros_total = 0;    ///< wall micros inside the miner
 };
 
 /// \brief One serving process, many named KBs, many requests,
@@ -454,17 +440,17 @@ class Service {
   const ServiceOptions& options() const { return options_; }
   ServiceCounters counters() const;
 
-  /// Records an accept(2) failure observed by a wire server fronting this
-  /// service (ServiceCounters::accept_errors_*). `fatal` marks failures
+  /// Records an accept(2) failure observed by the wire server fronting
+  /// this service (ServiceCounters::accept_errors_*). `fatal` marks failures
   /// that killed an accept loop.
   void RecordAcceptError(bool fatal);
 
-  /// Records a connection reaped by a wire server's lifecycle timeouts
+  /// Records a connection reaped by the wire server's lifecycle timeouts
   /// (ServiceCounters::connections_reaped_*). `write_stall` separates the
   /// slow-loris/never-drains case from plain idleness.
   void RecordConnectionReaped(bool write_stall);
 
-  /// The back-off hint (milliseconds) wire servers attach to
+  /// The back-off hint (milliseconds) the wire server attaches to
   /// ResourceExhausted responses, for the default tenant. Derived from
   /// live admission state — the measured mean service time, how full the
   /// queue is, and how many slots drain it — plus ±25% jitter so a burst
@@ -516,9 +502,6 @@ class Service {
                                  bool verbalize,
                                  std::vector<TermId> targets) const;
 
-  /// Counts one request shed for an expired deadline before any mining
-  /// work ran (global + tenant). Caller holds admission_mu_.
-  void RecordShedLocked(Tenant& tenant);
   /// Feeds one queue-wait sample into the brownout window and updates
   /// brownout_active_ (enter above the p99 bound, exit below half of
   /// it). Caller holds admission_mu_; no-op when brownout is disabled.
@@ -529,13 +512,6 @@ class Service {
   size_t EffectiveMaxQueuedLocked() const;
 
   Deadline DeadlineFor(const RequestControl& control) const;
-  /// Counts one admitted run's outcome into the global and the tenant
-  /// counters (the two views always reconcile).
-  void CountOutcome(Tenant& tenant, const Status& status);
-  /// Folds one admitted run into the service-wide + tenant mining
-  /// aggregates.
-  void RecordMiningStats(Tenant& tenant, const RemiStats& stats,
-                         double mine_seconds);
 
   ServiceOptions options_;
   std::unique_ptr<ThreadPool> pool_;  ///< iff mining.num_threads > 1
@@ -562,22 +538,15 @@ class Service {
   size_t queue_wait_pos_ = 0;
   bool brownout_active_ = false;
 
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> completed_ok_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> shed_expired_in_queue_{0};
+  // Service-only counters; the request ledger lives in the tenants.
   std::atomic<uint64_t> brownout_rejected_{0};
   std::atomic<uint64_t> connections_reaped_idle_{0};
   std::atomic<uint64_t> connections_reaped_write_stall_{0};
-  std::atomic<uint64_t> reloads_ok_{0};
-  std::atomic<uint64_t> reloads_rejected_{0};
   std::atomic<uint64_t> accept_errors_retried_{0};
   std::atomic<uint64_t> accept_errors_fatal_{0};
-  std::atomic<uint64_t> nodes_visited_total_{0};
-  std::atomic<uint64_t> mine_micros_total_{0};
+  /// ReloadKb calls naming no open tenant: rejected before any tenant
+  /// could count them.
+  std::atomic<uint64_t> unknown_kb_reloads_rejected_{0};
 };
 
 }  // namespace remi

@@ -1,11 +1,8 @@
 #include "service/socket_util.h"
 
 #include <fcntl.h>
-#include <sys/socket.h>
 
 #include <cerrno>
-
-#include "util/io_hooks.h"
 
 namespace remi {
 
@@ -51,22 +48,6 @@ bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool SendAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = io::Hooks().Send(fd, data.data() + sent,
-                                       data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      // EAGAIN on a blocking socket is a send-timeout (or injected
-      // noise); the bytes are still deliverable, so retry like EINTR.
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace remi

@@ -1,9 +1,9 @@
-// Small socket-layer utilities shared by the serving transports
-// (LineServer, EventServer) and their clients (remi_cli, the load
-// generator): a consume-from-the-front byte buffer with amortized O(1)
-// compaction, an accept(2) errno classifier, and blocking send/O_NONBLOCK
-// helpers. Kept transport-agnostic: nothing here knows about requests,
-// framing, or the Service.
+// Small socket-layer utilities shared by the serving transport
+// (EventServer) and its clients (the load generator): a
+// consume-from-the-front byte buffer with amortized O(1) compaction, an
+// accept(2) errno classifier, and an O_NONBLOCK helper. Kept
+// transport-agnostic: nothing here knows about requests, framing, or the
+// Service.
 
 #pragma once
 
@@ -20,7 +20,7 @@ namespace remi {
 /// for a pipelined client that keeps the buffer non-empty. This buffer
 /// tracks a read offset instead and only compacts when the dead prefix is
 /// both large (>= kCompactBytes) and at least half the storage, so every
-/// byte is moved O(1) times amortized. Both wire transports and the frame
+/// byte is moved O(1) times amortized. The epoll core and the frame
 /// decoder use it for their read (and write) queues.
 class ConsumedBuffer {
  public:
@@ -53,7 +53,7 @@ class ConsumedBuffer {
   }
 
   /// Storage currently held (consumed prefix included) — the number the
-  /// transports budget against.
+  /// transport budgets against.
   size_t StorageBytes() const { return storage_.size(); }
 
  private:
@@ -90,10 +90,5 @@ AcceptErrorAction ClassifyAcceptError(int err);
 
 /// Sets O_NONBLOCK on `fd`; false on fcntl failure.
 bool SetNonBlocking(int fd);
-
-/// Blocking full-buffer send with EINTR retry; false on a broken
-/// connection. MSG_NOSIGNAL turns a peer hangup into EPIPE instead of
-/// killing the process.
-bool SendAll(int fd, std::string_view data);
 
 }  // namespace remi

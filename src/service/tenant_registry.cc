@@ -100,6 +100,31 @@ KbEpoch::~KbEpoch() {
   live_epochs->fetch_sub(1, std::memory_order_relaxed);
 }
 
+// --- request ledger ----------------------------------------------------------
+
+RequestLedger& RequestLedger::operator+=(const RequestLedger& other) {
+  for (const LedgerField& field : kLedgerFields) {
+    this->*field.member += other.*field.member;
+  }
+  return *this;
+}
+
+double RequestLedger::MeanServiceMs() const {
+  const uint64_t finished = completed_ok + deadline_exceeded + cancelled;
+  if (finished == 0) return 0.0;
+  return static_cast<double>(mine_micros_total) /
+         (1000.0 * static_cast<double>(finished));
+}
+
+RequestLedger TenantLedger::Snapshot() const {
+  RequestLedger out;
+  for (const LedgerField& field : kLedgerFields) {
+    out.*field.member = std::atomic_ref<uint64_t>(cells_.*field.member)
+                            .load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
 // --- catalog parsing ---------------------------------------------------------
 
 Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json) {
@@ -200,7 +225,7 @@ ReloadKbResponse Tenant::Reload(const KbSpec& spec) {
   if (!loaded.ok()) {
     // Fail closed: the candidate never touched the registry. Report the
     // load error in-band and describe the generation that keeps serving.
-    reloads_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ledger_->Add(&RequestLedger::reloads_rejected);
     response.status = loaded.status();
     std::shared_ptr<KbEpoch> serving = CurrentEpoch();
     response.generation = serving->generation;
@@ -221,7 +246,7 @@ ReloadKbResponse Tenant::Reload(const KbSpec& spec) {
     // EvalCache and miners with it — stale entries die with their epoch.
     epoch_ = next;
   }
-  reloads_ok_.fetch_add(1, std::memory_order_relaxed);
+  ledger_->Add(&RequestLedger::reloads_ok);
   response.status = Status::OK();
   response.generation = next->generation;
   response.facts = next->kb.NumFacts();
@@ -258,45 +283,24 @@ RemiMiner* Tenant::MinerFor(const KbEpoch& epoch,
 
 void Tenant::RecordOutcome(const Status& status) {
   if (status.ok()) {
-    completed_ok_.fetch_add(1, std::memory_order_relaxed);
+    ledger_->Add(&RequestLedger::completed_ok);
   } else if (status.IsDeadlineExceeded()) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    ledger_->Add(&RequestLedger::deadline_exceeded);
   } else if (status.IsCancelled()) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    ledger_->Add(&RequestLedger::cancelled);
   }
 }
 
-void Tenant::RecordMiningStats(uint64_t nodes_visited, uint64_t mine_micros) {
-  nodes_visited_total_.fetch_add(nodes_visited, std::memory_order_relaxed);
-  mine_micros_total_.fetch_add(mine_micros, std::memory_order_relaxed);
-}
-
-double Tenant::MeanServiceMs() const {
-  const uint64_t completed =
-      completed_ok_.load(std::memory_order_relaxed) +
-      deadline_exceeded_.load(std::memory_order_relaxed) +
-      cancelled_.load(std::memory_order_relaxed);
-  if (completed == 0) return 0.0;
-  return static_cast<double>(
-             mine_micros_total_.load(std::memory_order_relaxed)) /
-         (1000.0 * static_cast<double>(completed));
+void Tenant::RecordMiningStats(uint64_t nodes_visited, double mine_seconds) {
+  ledger_->Add(&RequestLedger::nodes_visited_total, nodes_visited);
+  ledger_->Add(&RequestLedger::mine_micros_total,
+               static_cast<uint64_t>(mine_seconds * 1e6));
 }
 
 TenantCounters Tenant::counters() const {
   TenantCounters c;
-  c.admitted = admitted_.load(std::memory_order_relaxed);
-  c.completed_ok = completed_ok_.load(std::memory_order_relaxed);
-  c.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  c.cancelled = cancelled_.load(std::memory_order_relaxed);
-  c.rejected = rejected_.load(std::memory_order_relaxed);
-  c.failed = failed_.load(std::memory_order_relaxed);
-  c.shed_expired_in_queue =
-      shed_expired_in_queue_.load(std::memory_order_relaxed);
-  c.reloads_ok = reloads_ok_.load(std::memory_order_relaxed);
-  c.reloads_rejected = reloads_rejected_.load(std::memory_order_relaxed);
+  static_cast<RequestLedger&>(c) = ledger_->Snapshot();
   c.generation = generation();
-  c.nodes_visited_total = nodes_visited_total_.load(std::memory_order_relaxed);
-  c.mine_micros_total = mine_micros_total_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -431,7 +435,12 @@ Status TenantRegistry::Detach(const std::string& name) {
   // An in-flight single-flight load still owns the name; let it finish
   // so detach has a definite object (or a definite failure) to act on.
   while (loading_.count(name) > 0) loading_cv_.wait(lock);
-  const bool was_open = tenants_.erase(name) > 0;
+  const auto open = tenants_.find(name);
+  const bool was_open = open != tenants_.end();
+  if (was_open) {
+    draining_.push_back(open->second->ledger());
+    tenants_.erase(open);
+  }
   const bool was_cataloged = catalog_.erase(name) > 0;
   if (!was_open && !was_cataloged) {
     return Status::NotFound("unknown kb '" + name + "'");
@@ -486,12 +495,22 @@ std::vector<KbInfo> TenantRegistry::List() const {
   return out;
 }
 
-std::vector<std::shared_ptr<Tenant>> TenantRegistry::OpenTenants() const {
+RequestLedger TenantRegistry::LedgerTotals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<Tenant>> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) out.push_back(tenant);
-  return out;
+  RequestLedger total = retired_;
+  for (const auto& [name, tenant] : tenants_) {
+    total += tenant->ledger()->Snapshot();
+  }
+  std::erase_if(draining_, [&](const std::shared_ptr<TenantLedger>& ledger) {
+    // Read closed() first: once the Tenant is gone the snapshot is final
+    // and folds into retired_; until then it is summed live.
+    const bool closed = ledger->closed();
+    const RequestLedger counts = ledger->Snapshot();
+    total += counts;
+    if (closed) retired_ += counts;
+    return closed;
+  });
+  return total;
 }
 
 size_t TenantRegistry::tenants_active() const {

@@ -144,30 +144,94 @@ struct TenantQuota {
   size_t max_queued = 0;
 };
 
-/// Per-tenant request counters, same identity as ServiceCounters: at
-/// quiescence admitted == completed_ok + deadline_exceeded + cancelled +
-/// failed, and the sum over tenants of each field reconciles exactly with
-/// the service-wide counter.
-struct TenantCounters {
+/// The per-request ledger: monotonic counts of what happened to the
+/// requests (and reloads) of one tenant, or of the whole service. Each
+/// event is counted exactly once, into the serving tenant's slice; the
+/// service-wide view is the sum of the slices
+/// (TenantRegistry::LedgerTotals), so the two views reconcile by
+/// construction. At quiescence admitted == completed_ok +
+/// deadline_exceeded + cancelled + failed; rejected requests were never
+/// admitted.
+struct RequestLedger {
   uint64_t admitted = 0;
   uint64_t completed_ok = 0;
   uint64_t deadline_exceeded = 0;
   uint64_t cancelled = 0;
-  uint64_t rejected = 0;
-  uint64_t failed = 0;
-  /// Subset of deadline_exceeded: requests shed in-band because their
-  /// deadline expired at or while queued at admission — before mining.
+  uint64_t rejected = 0;  ///< kResourceExhausted at admission
+  uint64_t failed = 0;    ///< admitted but invalid (bad targets etc.)
+  /// Requests whose deadline had already expired at admission or while
+  /// queued: shed in-band with DeadlineExceeded *before* any mining work
+  /// (a subset of deadline_exceeded; nodes_visited_total is untouched).
   uint64_t shed_expired_in_queue = 0;
+  uint64_t reloads_ok = 0;        ///< published generations (beyond the first)
+  uint64_t reloads_rejected = 0;  ///< fail-closed reloads
+  uint64_t nodes_visited_total = 0;  ///< DFS nodes across all admitted runs
+  uint64_t mine_micros_total = 0;    ///< wall micros inside the miner
+
+  RequestLedger& operator+=(const RequestLedger& other);
+
+  /// Mean time inside the miner per finished run (ok, deadline exceeded
+  /// or cancelled) in milliseconds; 0 before the first one. Feeds the
+  /// retry_after_ms hint.
+  double MeanServiceMs() const;
+};
+
+/// Every RequestLedger field with its wire key, in wire order: the one
+/// list that summing, snapshotting and JSON encoding iterate.
+struct LedgerField {
+  const char* key;
+  uint64_t RequestLedger::*member;
+};
+inline constexpr LedgerField kLedgerFields[] = {
+    {"admitted", &RequestLedger::admitted},
+    {"completed_ok", &RequestLedger::completed_ok},
+    {"deadline_exceeded", &RequestLedger::deadline_exceeded},
+    {"cancelled", &RequestLedger::cancelled},
+    {"rejected", &RequestLedger::rejected},
+    {"failed", &RequestLedger::failed},
+    {"shed_expired_in_queue", &RequestLedger::shed_expired_in_queue},
+    {"reloads_ok", &RequestLedger::reloads_ok},
+    {"reloads_rejected", &RequestLedger::reloads_rejected},
+    {"nodes_visited_total", &RequestLedger::nodes_visited_total},
+    {"mine_micros_total", &RequestLedger::mine_micros_total},
+};
+
+/// \brief One tenant's live ledger: a RequestLedger whose fields are only
+/// ever touched atomically (lock-free, one relaxed fetch_add per event).
+///
+/// Shared between the Tenant and, after a detach, the registry: the
+/// registry keeps counting a detached tenant's block without keeping the
+/// Tenant (and its KB) alive, and folds it into its retired total once
+/// the Tenant is gone.
+class TenantLedger {
+ public:
+  void Add(uint64_t RequestLedger::*field, uint64_t n = 1) {
+    std::atomic_ref<uint64_t>(cells_.*field)
+        .fetch_add(n, std::memory_order_relaxed);
+  }
+  RequestLedger Snapshot() const;
+
+  /// Run by the owning Tenant's destructor; after closed() reads true,
+  /// Snapshot() is final (the release/acquire pair orders every count
+  /// before it).
+  void Close() { closed_.store(true, std::memory_order_release); }
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
+
+ private:
+  /// Mutable: std::atomic_ref needs a non-const referent even to load.
+  mutable RequestLedger cells_;
+  std::atomic<bool> closed_{false};
+};
+
+/// Per-tenant request counters: the tenant's ledger plus its admission
+/// gauges and serving generation.
+struct TenantCounters : RequestLedger {
   size_t in_flight = 0;
   size_t queued = 0;
   size_t peak_in_flight = 0;
-  uint64_t reloads_ok = 0;
-  uint64_t reloads_rejected = 0;
   /// This tenant's serving generation (1-based, +1 per successful
   /// reload — generations are per-tenant, not global).
   uint64_t generation = 0;
-  uint64_t nodes_visited_total = 0;
-  uint64_t mine_micros_total = 0;
 };
 
 /// \brief Swap in a new KB generation without dropping requests
@@ -223,7 +287,7 @@ Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json);
 /// object, one instance per tenant.
 ///
 /// Thread-safe. Requests pin epochs via CurrentEpoch(); Reload publishes
-/// the next generation without disturbing pinned ones; the counter
+/// the next generation without disturbing pinned ones; the ledger
 /// methods are lock-free. The admission gauges (admission()) are the one
 /// exception: they are storage for the Service's global admission
 /// controller and are guarded by *its* mutex, not by anything here.
@@ -231,6 +295,9 @@ class Tenant {
  public:
   Tenant(std::string name, const RemiOptions& mining, TenantQuota quota,
          std::shared_ptr<std::atomic<size_t>> live_epochs);
+  ~Tenant() { ledger_->Close(); }
+  Tenant(const Tenant&) = delete;
+  Tenant& operator=(const Tenant&) = delete;
 
   const std::string& name() const { return name_; }
   const TenantQuota& quota() const { return quota_; }
@@ -257,22 +324,23 @@ class Tenant {
                       const std::optional<EnumeratorOptions>& enumerator,
                       ThreadPool* pool) const;
 
-  // --- per-tenant accounting ------------------------------------------------
-  void RecordAdmitted() { admitted_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
+  // --- per-tenant accounting (the only copy of the request ledger) ---------
+  void RecordAdmitted() { ledger_->Add(&RequestLedger::admitted); }
+  void RecordRejected() { ledger_->Add(&RequestLedger::rejected); }
+  void RecordFailed() { ledger_->Add(&RequestLedger::failed); }
   void RecordShedExpired() {
-    shed_expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
+    ledger_->Add(&RequestLedger::shed_expired_in_queue);
   }
+  /// Counts an admitted run's in-band outcome (OK, DeadlineExceeded or
+  /// Cancelled; other codes are counted by RecordFailed).
   void RecordOutcome(const Status& status);
-  void RecordMiningStats(uint64_t nodes_visited, uint64_t mine_micros);
+  void RecordMiningStats(uint64_t nodes_visited, double mine_seconds);
 
-  /// Mean service time of this tenant's completed runs in milliseconds
-  /// (0 before the first completion) — feeds the quota-aware
-  /// retry_after_ms hint.
-  double MeanServiceMs() const;
+  /// The ledger block, shared so the registry can keep counting it after
+  /// a detach without keeping this Tenant alive.
+  const std::shared_ptr<TenantLedger>& ledger() const { return ledger_; }
 
-  /// Snapshot of the atomic counters + generation. The admission gauges
+  /// Snapshot of the ledger + generation. The admission gauges
   /// (in_flight, queued, peak_in_flight) are owned by the Service's
   /// admission controller and left zero here; Service::CountersFor fills
   /// them under its admission mutex.
@@ -304,17 +372,7 @@ class Tenant {
 
   AdmissionState admission_;
 
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> completed_ok_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> shed_expired_in_queue_{0};
-  std::atomic<uint64_t> reloads_ok_{0};
-  std::atomic<uint64_t> reloads_rejected_{0};
-  std::atomic<uint64_t> nodes_visited_total_{0};
-  std::atomic<uint64_t> mine_micros_total_{0};
+  std::shared_ptr<TenantLedger> ledger_ = std::make_shared<TenantLedger>();
 };
 
 /// \brief Name -> Tenant resolution, catalog lazy opens, attach/detach.
@@ -324,7 +382,8 @@ class Tenant {
 /// detached. Catalog entries open on first resolve (single-flight: while
 /// one thread loads, others resolving the same name wait on a condition
 /// variable instead of loading twice). Detach unmaps the name — in-flight
-/// requests keep their shared_ptr<Tenant> and drain naturally.
+/// requests keep their shared_ptr<Tenant> and drain naturally, while the
+/// registry keeps the tenant's ledger in the service-wide totals.
 class TenantRegistry {
  public:
   /// \param mining base mining configuration, copied into every tenant.
@@ -377,8 +436,11 @@ class TenantRegistry {
   /// by name (the default tenant "" first).
   std::vector<KbInfo> List() const;
 
-  /// Open tenants, for counter aggregation.
-  std::vector<std::shared_ptr<Tenant>> OpenTenants() const;
+  /// The service-wide request ledger: the sum over open tenants, detached
+  /// tenants still draining, and the retired total of drained ones. Taken
+  /// under the registry lock, so a concurrent detach can neither drop nor
+  /// double-count a slice — no field ever goes backwards.
+  RequestLedger LedgerTotals() const;
 
   /// Open tenants right now (the tenants_active gauge).
   size_t tenants_active() const;
@@ -400,6 +462,12 @@ class TenantRegistry {
   std::map<std::string, CatalogEntry> catalog_;
   /// Names with a load in flight; reserves the name across the unlock.
   std::set<std::string> loading_;
+  /// Ledgers of detached tenants whose Tenant still lives (requests in
+  /// flight). The registry holds the block, not the Tenant, so draining
+  /// never keeps a KB alive. LedgerTotals folds closed blocks away.
+  mutable std::vector<std::shared_ptr<TenantLedger>> draining_;
+  /// Final ledgers of detached tenants that finished draining.
+  mutable RequestLedger retired_;
 };
 
 }  // namespace remi

@@ -1,7 +1,7 @@
 // Syscall-level I/O seam + deterministic fault injector.
 //
-// Every serving-surface syscall (event_server, line_server, socket_util,
-// mmap_file, the snapshot writer) goes through the process-global IoHooks
+// Every serving-surface syscall (event_server, mmap_file, the snapshot
+// writer) goes through the process-global IoHooks
 // table instead of calling the kernel directly. The default table is a
 // pure pass-through with zero added cost beyond one indirect call; tests
 // and the chaos harness install a FaultInjector to subject the whole
@@ -41,8 +41,7 @@ namespace io {
 /// method forwards to the real syscall. Override to intercept.
 ///
 /// Installed implementations must be thread-safe: the epoll loop, the
-/// dispatch workers, LineServer threads, and snapshot writers all call
-/// concurrently.
+/// dispatch workers, and snapshot writers all call concurrently.
 class IoHooks {
  public:
   virtual ~IoHooks() = default;

@@ -1,7 +1,7 @@
 // EventServer integration tests: an in-process epoll server on an
 // ephemeral loopback port, driven through real TCP sockets in both wire
-// modes — the same code path tools/remi_server.cc serves in its default
-// --mode epoll, minus the flag parsing.
+// modes — the same code path tools/remi_server.cc serves, minus the flag
+// parsing.
 
 #include "service/event_server.h"
 
@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,7 +24,6 @@
 
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
-#include "service/line_server.h"
 #include "util/io_hooks.h"
 #include "util/json.h"
 
@@ -37,7 +38,7 @@ namespace {
 /// (raw byte send plus line- and frame-oriented reads).
 class TestClient {
  public:
-  explicit TestClient(int port) {
+  explicit TestClient(int port, bool expect_connect = true) {
     fd_ = socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
     sockaddr_in addr{};
@@ -46,7 +47,7 @@ class TestClient {
     inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     connected_ = connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                          sizeof(addr)) == 0;
-    EXPECT_TRUE(connected_);
+    if (expect_connect) EXPECT_TRUE(connected_);
   }
   ~TestClient() {
     if (fd_ >= 0) close(fd_);
@@ -119,6 +120,14 @@ class TestClient {
 
   void ShutdownWrite() { shutdown(fd_, SHUT_WR); }
 
+  /// Sends one request line and parses the one response line.
+  JsonValue Request(const std::string& line) {
+    SendLine(line);
+    auto parsed = ParseJson(ReadLine());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << line;
+    return parsed.ok() ? *parsed : JsonValue();
+  }
+
  private:
   int fd_ = -1;
   bool connected_ = false;
@@ -175,6 +184,66 @@ TEST_F(EventServerTest, NdjsonDebugModeServesTheLineProtocol) {
   JsonValue mine = Parse(client.ReadLine());
   EXPECT_EQ(mine.Find("status")->AsString(), "OK");
   EXPECT_TRUE(mine.Find("found")->AsBool());
+}
+
+TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
+  StartServer();
+  TestClient client(server_->port());
+
+  // Good reload: re-open the same smoke KB as generation 2.
+  const std::string smoke = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
+  JsonValue good =
+      client.Request(std::string(R"({"op":"reload","path":")") + smoke + "\"}");
+  EXPECT_EQ(good.Find("status")->AsString(), "OK");
+  EXPECT_EQ(good.Find("generation")->AsNumber(), 2.0);
+  EXPECT_GT(good.Find("facts")->AsNumber(), 0.0);
+
+  // Corrupt candidate: valid magic, garbage body. Fail closed in-band —
+  // the connection survives and generation 2 keeps serving.
+  const std::string corrupt_path =
+      ::testing::TempDir() + "/event_server_corrupt.rkf2";
+  {
+    std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
+    out << "RKF2 this is not a snapshot";
+  }
+  JsonValue corrupt = client.Request(
+      std::string(R"({"op":"reload","path":")") + corrupt_path + "\"}");
+  EXPECT_EQ(corrupt.Find("status")->AsString(), "Corruption");
+  EXPECT_EQ(corrupt.Find("generation")->AsNumber(), 2.0);
+
+  // Still mining, and the stats op reports the registry counters.
+  EXPECT_EQ(client.Request(R"({"op":"mine","targets":["Berlin"]})")
+                .Find("status")
+                ->AsString(),
+            "OK");
+  JsonValue stats = client.Request(R"({"op":"stats"})");
+  EXPECT_EQ(stats.Find("generation")->AsNumber(), 2.0);
+  EXPECT_EQ(stats.Find("reloads_ok")->AsNumber(), 1.0);
+  EXPECT_EQ(stats.Find("reloads_rejected")->AsNumber(), 1.0);
+  EXPECT_GE(stats.Find("active_generations")->AsNumber(), 1.0);
+  std::remove(corrupt_path.c_str());
+}
+
+TEST_F(EventServerTest, StopClosesOpenConnections) {
+  StartServer();
+  TestClient client(server_->port());
+  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
+  server_->Stop();  // must return with the connection still open
+  EXPECT_TRUE(client.AtEof());
+}
+
+TEST_F(EventServerTest, StartRejectsOutOfRangePort) {
+  KbSpec spec;
+  spec.path = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
+  auto service = Service::Open(spec);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  for (const int port : {-1, 65536, 70000}) {
+    EventServerOptions options;
+    options.port = port;
+    EventServer server(service->get(), options);
+    EXPECT_TRUE(server.Start().IsInvalidArgument()) << "port " << port;
+  }
 }
 
 TEST_F(EventServerTest, PipelinedNdjsonAcrossArbitraryRecvBoundaries) {
@@ -420,24 +489,79 @@ TEST_F(EventServerTest, BackpressureStillDeliversEverything) {
   }
 }
 
+namespace {
+/// Counts the bytes the server's recv() calls return (the test client's
+/// raw syscalls bypass the hooks) and, once `total` have been read, holds
+/// the loop thread at its next epoll_wait until `released`: every request
+/// is then received and queued, and none past the ones already
+/// dispatched can complete.
+class HoldLoopAfterBytes : public io::IoHooks {
+ public:
+  explicit HoldLoopAfterBytes(size_t total) : total_(total) {}
+
+  ssize_t Recv(int fd, void* buf, size_t len, int flags) override {
+    const ssize_t n = io::IoHooks::Recv(fd, buf, len, flags);
+    if (n > 0) bytes_.fetch_add(static_cast<size_t>(n));
+    return n;
+  }
+
+  int EpollWait(int epfd, struct epoll_event* events, int maxevents,
+                int timeout_ms) override {
+    if (bytes_.load() >= total_) {
+      held.store(true);
+      while (!released.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return io::IoHooks::EpollWait(epfd, events, maxevents, timeout_ms);
+  }
+
+  std::atomic<bool> held{false};
+  std::atomic<bool> released{false};
+
+ private:
+  const size_t total_;
+  std::atomic<size_t> bytes_{0};
+};
+}  // namespace
+
 TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
   EventServerOptions options;
   options.dispatch_threads = 2;
+  // One frame in flight per connection: the rest wait in the
+  // connection's queue, which is the state Drain() must still serve.
+  options.max_inflight_per_connection = 1;
   StartServer(options);
+
+  // Load both wire modes, then drain while requests are queued and in
+  // flight.
+  const int kFrames = 4;
+  std::string frames;
+  for (int i = 0; i < kFrames; ++i) {
+    AppendFrame(static_cast<uint8_t>(FrameVerb::kMine),
+                static_cast<uint64_t>(i), R"({"targets":["Berlin"]})",
+                &frames);
+  }
+  const std::string line =
+      std::string(R"({"op":"summarize","entity":"Berlin","k":3})") + "\n";
+  HoldLoopAfterBytes hold(frames.size() + line.size());
+  io::ScopedHooks scoped(&hold);
   TestClient binary(server_->port());
   TestClient ndjson(server_->port());
+  binary.SendRaw(frames);
+  ndjson.SendRaw(line);
 
-  // Load both wire modes, then drain while responses are in flight.
-  const int kFrames = 4;
-  for (int i = 0; i < kFrames; ++i) {
-    binary.SendFrame(FrameVerb::kMine, static_cast<uint64_t>(i),
-                     R"({"targets":["Berlin"]})");
+  // The server has read every byte; frames 1..3 wait behind frame 0.
+  // Drain() raises its flag at once; the loop resumes well after that,
+  // so it sees the drain with frames still queued.
+  while (!hold.held.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ndjson.SendLine(R"({"op":"summarize","entity":"Berlin","k":3})");
-
   std::thread drainer([&] { EXPECT_TRUE(server_->Drain(30.0)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  hold.released.store(true);
 
-  // Every admitted request's response must still arrive, then EOF.
+  // Every received request's response must still arrive, then EOF.
   std::map<uint64_t, std::string> responses;
   uint8_t verb = 0;
   uint64_t id = 0;
@@ -446,7 +570,7 @@ TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
          binary.ReadFrame(&verb, &id, &payload)) {
     responses[id] = payload;
   }
-  ASSERT_EQ(responses.size(), static_cast<size_t>(kFrames));
+  EXPECT_EQ(responses.size(), static_cast<size_t>(kFrames));
   for (const auto& [response_id, doc] : responses) {
     EXPECT_EQ(Parse(doc).Find("status")->AsString(), "OK")
         << "id " << response_id;
@@ -601,6 +725,134 @@ TEST_F(EventServerTest, WriteStallReapsAPeerThatStopsReading) {
   EXPECT_EQ(service_->counters().connections_reaped_write_stall, 1u);
   EXPECT_EQ(service_->counters().connections_reaped_idle, 0u);
   ExpectConnectionsDrain();
+}
+
+
+// --- the NDJSON line protocol -----------------------------------------------
+//
+// The line protocol's own contract on the epoll core: one test per
+// behaviour a line-protocol client relies on (the suite name is the one
+// these checks have always run under).
+
+class LineServerTest : public EventServerTest {};
+
+TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
+  StartServer();
+  TestClient client(server_->port());
+
+  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
+
+  JsonValue mine =
+      client.Request(R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
+  EXPECT_EQ(mine.Find("status")->AsString(), "OK");
+  EXPECT_TRUE(mine.Find("found")->AsBool());
+  EXPECT_FALSE(mine.Find("expression")->AsString().empty());
+  EXPECT_FALSE(mine.Find("verbalization")->AsString().empty());
+  EXPECT_GT(mine.Find("cost")->AsNumber(), 0.0);
+
+  JsonValue summary =
+      client.Request(R"({"op":"summarize","entity":"Berlin","k":3})");
+  EXPECT_EQ(summary.Find("status")->AsString(), "OK");
+  EXPECT_EQ(summary.Find("entity")->AsString(), "Berlin");
+  EXPECT_GT(summary.Find("items")->items().size(), 0u);
+
+  JsonValue batch = client.Request(
+      R"({"op":"batch_mine","target_sets":[["Berlin"],["Hamburg"]]})");
+  EXPECT_EQ(batch.Find("status")->AsString(), "OK");
+  EXPECT_EQ(batch.Find("results")->items().size(), 2u);
+
+  JsonValue candidates = client.Request(
+      R"({"op":"candidates","targets":["Berlin"],"limit":3})");
+  EXPECT_EQ(candidates.Find("status")->AsString(), "OK");
+  EXPECT_EQ(candidates.Find("candidates")->items().size(), 3u);
+
+  JsonValue stats = client.Request(R"({"op":"stats"})");
+  EXPECT_EQ(stats.Find("status")->AsString(), "OK");
+  // ping/stats/candidates bypass admission; the mine, the summarize and
+  // the batch were admitted.
+  EXPECT_EQ(stats.Find("admitted")->AsNumber(), 3.0);
+  EXPECT_GT(stats.Find("facts")->AsNumber(), 0.0);
+}
+
+TEST_F(LineServerTest, ServesConcurrentConnections) {
+  StartServer();
+  TestClient a(server_->port());
+  TestClient b(server_->port());
+  // Both requests are on the wire before either response is read.
+  a.SendLine(R"({"op":"mine","targets":["Berlin"]})");
+  b.SendLine(R"({"op":"mine","targets":["Hamburg"]})");
+  EXPECT_EQ(Parse(b.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Parse(a.ReadLine()).Find("status")->AsString(), "OK");
+}
+
+TEST_F(LineServerTest, ErrorsAreInBandAndConnectionSurvives) {
+  StartServer();
+  TestClient client(server_->port());
+
+  EXPECT_EQ(client.Request("{not json").Find("status")->AsString(),
+            "ParseError");
+  EXPECT_EQ(client.Request(R"({"op":"fly"})").Find("status")->AsString(),
+            "InvalidArgument");
+  EXPECT_EQ(client.Request(R"({"op":"mine","targets":["Atlantis"]})")
+                .Find("status")
+                ->AsString(),
+            "NotFound");
+
+  // The connection still answers after three error responses.
+  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
+}
+
+TEST_F(LineServerTest, DeadlineTravelsOverTheWire) {
+  StartServer();
+  TestClient client(server_->port());
+  // deadline_ms of 0.000001 (sub-microsecond) expires before mining.
+  JsonValue response = client.Request(
+      R"({"op":"mine","targets":["Berlin"],"deadline_ms":0.000001})");
+  EXPECT_EQ(response.Find("status")->AsString(), "DeadlineExceeded");
+}
+
+TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
+  EventServerOptions options;
+  options.max_line_bytes = 128;
+  StartServer(options);
+  TestClient client(server_->port());
+
+  // A valid line ahead of the oversize one is still answered; the
+  // oversize line (newline included, so a complete line) is rejected and
+  // the server closes its end.
+  std::string oversize = R"({"op":"ping","pad":")";
+  oversize += std::string(512, 'x');
+  oversize += "\"}";
+  client.SendRaw(std::string(R"({"op":"ping"})") + "\n" + oversize + "\n");
+  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(),
+            "InvalidArgument");
+  EXPECT_TRUE(client.AtEof());
+}
+
+TEST_F(LineServerTest, DrainFlushesBufferedResponsesThenCloses) {
+  StartServer();
+  TestClient client(server_->port());
+  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
+
+  // A request already admitted when Drain() starts must still be
+  // answered; afterwards the server closes its end and refuses new
+  // connections.
+  client.SendLine(R"({"op":"mine","targets":["Berlin"]})");
+  while (service_->counters().admitted < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(server_->Drain(/*grace_seconds=*/10.0));
+
+  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_TRUE(client.AtEof());
+
+  TestClient late(server_->port(), /*expect_connect=*/false);
+  EXPECT_FALSE(late.connected());
+  server_.reset();  // already stopped by Drain
 }
 
 }  // namespace

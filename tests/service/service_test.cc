@@ -16,6 +16,8 @@
 #include "kbgen/curated.h"
 #include "kbgen/kb_builder.h"
 #include "rdf/ntriples.h"
+#include "service/json_codec.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -595,6 +597,90 @@ TEST(ServiceAdmissionTest, QueuedRequestHonorsDeadline) {
 
   source.RequestCancellation();
   occupant.join();
+}
+
+TEST(ServiceRetryHintTest, AdmissionOverflowCarriesRetryAfterHint) {
+  // A service with one never-queued slot, occupied by a long cancellable
+  // batch: the next wire request must come back ResourceExhausted with
+  // the retry_after_ms back-off hint.
+  KbSpec spec;
+  spec.path = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
+  ServiceOptions options;
+  options.max_in_flight = 1;
+  options.max_queued = 0;
+  auto opened = Service::Open(spec, options);
+  ASSERT_TRUE(opened.ok());
+  Service* service = opened->get();
+
+  CancellationSource source;
+  BatchMineRequest slow;
+  for (int i = 0; i < 4096; ++i) {
+    TargetSpec target;
+    target.names = {"Berlin"};
+    slow.target_sets.push_back(target);
+  }
+  slow.control.cancel = source.token();
+  std::thread occupant([&] { (void)service->BatchMine(slow); });
+  while (service->counters().in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  auto response = ParseJson(HandleRequestLine(
+      service, R"({"op":"mine","targets":["Berlin"]})"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->Find("status")->AsString(), "ResourceExhausted");
+  ASSERT_NE(response->Find("retry_after_ms"), nullptr);
+  EXPECT_GT(response->Find("retry_after_ms")->AsNumber(), 0.0);
+
+  source.RequestCancellation();
+  occupant.join();
+}
+
+TEST(ServiceRetryHintTest, RetryHintGrowsWithQueueDepth) {
+  // The hint is derived from admission state, not a constant: at equal
+  // jitter, deeper queues must produce strictly larger hints until the
+  // cap, and the jitter band keeps any hint within [0.75x, 1.25x) base.
+  uint64_t previous = 0;
+  for (size_t queued = 0; queued < 64; ++queued) {
+    const uint64_t hint = Service::ComputeRetryAfterMs(
+        queued, /*max_in_flight=*/4, /*mean_service_ms=*/40.0,
+        /*jitter256=*/128);
+    EXPECT_GT(hint, previous) << "queued=" << queued;
+    previous = hint;
+  }
+  // Cold start (no completions yet) still floors at a sane minimum.
+  const uint64_t cold = Service::ComputeRetryAfterMs(0, 4, 0.0, 128);
+  EXPECT_GE(cold, 25u);
+  // The cap bounds even absurd backlogs.
+  const uint64_t capped = Service::ComputeRetryAfterMs(
+      1u << 20, 1, 5000.0, 255);
+  EXPECT_LE(capped, 13000u);
+  // Jitter spreads retries instead of synchronizing them.
+  const uint64_t low = Service::ComputeRetryAfterMs(8, 4, 40.0, 0);
+  const uint64_t high = Service::ComputeRetryAfterMs(8, 4, 40.0, 255);
+  EXPECT_LT(low, high);
+}
+
+// --- wire codec -------------------------------------------------------------
+
+TEST(ServiceWireCodecTest, RejectsOutOfRangeNumbersInsteadOfCasting) {
+  // 1e999 parses to +inf; casting it to size_t/TermId would be UB, so
+  // the codec must reject it as InvalidArgument (covers ReadSize and the
+  // numeric-id path of ReadTargetSpec).
+  auto service = OpenSmoke();
+  for (const char* line :
+       {R"({"op":"mine","targets":["Berlin"],"max_exceptions":1e999})",
+        R"({"op":"mine","targets":[1e999]})",
+        R"({"op":"mine","targets":[1.5]})",
+        R"({"op":"mine","targets":[99999999999]})",
+        R"({"op":"summarize","entity":"Berlin","k":-1})",
+        R"({"op":"mine","targets":["Berlin"],"deadline_ms":1e999})",
+        R"({"op":"mine","targets":["Berlin"],"deadline_ms":1e13})"}) {
+    auto response = ParseJson(HandleRequestLine(service.get(), line));
+    ASSERT_TRUE(response.ok()) << line;
+    EXPECT_EQ(response->Find("status")->AsString(), "InvalidArgument")
+        << line;
+  }
 }
 
 // --- deadline-aware shedding ------------------------------------------------

@@ -715,6 +715,67 @@ TEST(ReloadFaultTenantTest, DetachUnderPinDrainsWithoutTeardown) {
   EXPECT_EQ(service->counters().tenants_active, 1u);
 }
 
+TEST(ReloadFaultTenantTest, ServiceCountersNeverGoBackwardsOnDetach) {
+  ServiceOptions options;
+  options.mining = ExhaustiveMining();
+  options.max_in_flight = 4;
+  auto service = Service::Create(BuildTaggedKb("base"), options);
+  ASSERT_TRUE(service->AttachKb("t", BuildBitLatticeKb(kBitKbBits)).ok());
+
+  // Served traffic on t: two OK mines and one admitted-but-failed one.
+  uint64_t expected_nodes = 0;
+  for (int i = 0; i < 2; ++i) {
+    auto mined = service->Mine(MineFor("t", "http://ex/e3"));
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    expected_nodes += mined->stats.nodes_visited;
+  }
+  EXPECT_FALSE(service->Mine(MineFor("t", "http://ex/nowhere")).ok());
+
+  // Hold one request in flight across the detach.
+  CancellationSource source;
+  const BatchMineRequest slow = SlowBatch("t", source.token());
+  Result<BatchMineResponse> held = Status::Internal("not run");
+  std::thread occupant([&] { held = service->BatchMine(slow); });
+  while (service->CountersFor("t").ok() &&
+         service->CountersFor("t")->in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const ServiceCounters before = service->counters();
+  ASSERT_TRUE(service->DetachKb("t").ok());
+  const ServiceCounters detached = service->counters();
+  EXPECT_GE(detached.admitted, before.admitted);
+  EXPECT_GE(detached.completed_ok, before.completed_ok);
+  EXPECT_GE(detached.failed, before.failed);
+  EXPECT_GE(detached.nodes_visited_total, before.nodes_visited_total);
+
+  source.RequestCancellation();
+  occupant.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_TRUE(held->status.IsCancelled()) << held->status.ToString();
+  for (const MineResponse& item : held->results) {
+    expected_nodes += item.stats.nodes_visited;
+  }
+
+  // Every request on t is still in the service-wide ledger, the held one
+  // too, and re-reading (after the drained tenant folded into the
+  // retired total) changes nothing.
+  const ServiceCounters after = service->counters();
+  EXPECT_EQ(after.admitted, 4u);
+  EXPECT_EQ(after.completed_ok, 2u);
+  EXPECT_EQ(after.failed, 1u);
+  EXPECT_EQ(after.cancelled, 1u);
+  EXPECT_EQ(after.nodes_visited_total, expected_nodes);
+  EXPECT_EQ(after.admitted, after.completed_ok + after.deadline_exceeded +
+                                after.cancelled + after.failed);
+  const ServiceCounters reread = service->counters();
+  EXPECT_EQ(reread.admitted, after.admitted);
+  EXPECT_EQ(reread.cancelled, after.cancelled);
+  EXPECT_EQ(reread.nodes_visited_total, after.nodes_visited_total);
+  // The detached tenant's epochs are destroyed.
+  EXPECT_EQ(after.active_generations, after.tenants_active);
+  EXPECT_EQ(after.tenants_active, 1u);
+}
+
 TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
   auto service = Service::Create(BuildTaggedKb("d"), [] {
     ServiceOptions options;

@@ -16,8 +16,8 @@
 // `reload`, `counters`, `attach`, `detach`, and `list` are admin clients,
 // not local operations: they connect to a running remi_server
 // (--host/--port). `counters` speaks the binary frame protocol (so it
-// doubles as a smoke test for it against an epoll-mode server); the
-// others speak NDJSON by default and the binary framing with --binary.
+// doubles as a smoke test for it); the others speak NDJSON by default
+// and the binary framing with --binary.
 // The reload/attach paths are resolved by the *server* process. Exit 0
 // when the server accepted the operation; nonzero otherwise (a rejected
 // reload keeps the prior generation serving — fail closed).
@@ -429,8 +429,7 @@ Result<std::string> LineRoundTrip(const std::string& host, int port,
 /// One binary-frame round trip: connect, send `payload` under `verb`,
 /// decode response frames until ours (matched by request id) arrives, and
 /// return its payload — the same JSON document the NDJSON protocol would
-/// produce. Requires an epoll-mode server (--mode threads speaks only
-/// NDJSON and will reject the frame).
+/// produce.
 Result<std::string> FrameRoundTrip(const std::string& host, int port,
                                    remi::FrameVerb verb,
                                    const std::string& payload) {
@@ -628,7 +627,7 @@ int main(int argc, char** argv) {
                    "skipping them");
   flags.DefineBool("binary", false,
                    "admin commands: use the binary frame protocol instead "
-                   "of NDJSON (requires an epoll-mode server)");
+                   "of NDJSON");
   flags.DefineString("kb", "",
                      "reload/counters: the named KB to target (default: "
                      "the server's default tenant)");

@@ -1,17 +1,18 @@
 // remi_server — the TCP serving front end.
 //
-//   remi_server <kb> [--port 7411] [--mode epoll|threads] [--threads N]
+//   remi_server <kb> [--port 7411] [--threads N] [--dispatch-threads 4]
 //               [--max-inflight 4] [--max-queued 16]
 //               [--inverse-fraction 0.01] [--catalog catalog.json]
 //               [--tenant-max-inflight 0] [--tenant-max-queued 0]
 //
 // <kb> is any format KbSpec understands (.nt / .ttl / .rkf / .rkf2; RKF2
-// snapshots open zero-copy). The default --mode epoll serves both wire
-// protocols on one port, autodetected per connection: the length-prefixed
-// binary framing (request-id multiplexed, out-of-order responses; see
-// src/service/frame_codec.h) and the newline-delimited-JSON debug
-// protocol. --mode threads is the thread-per-connection NDJSON-only
-// reference server. Example debug session:
+// snapshots open zero-copy). The epoll core (src/service/event_server.h)
+// serves both wire protocols on one port, autodetected per connection:
+// the length-prefixed binary framing (request-id multiplexed,
+// out-of-order responses; see src/service/frame_codec.h) and the
+// newline-delimited-JSON debug protocol. Count, size and timeout flags
+// must be non-negative and --port must lie in [0, 65535]; anything else
+// is rejected with "error: ..." and exit status 1. Example debug session:
 //
 //   $ remi_server tests/data/smoke.nt --port 7411 &
 //   $ printf '{"op":"mine","targets":["Berlin"]}\n' | nc 127.0.0.1 7411
@@ -34,12 +35,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
-
+#include <limits>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "service/event_server.h"
-#include "service/line_server.h"
 #include "service/service.h"
 #include "util/flags.h"
 
@@ -72,26 +73,20 @@ int main(int argc, char** argv) {
   flags.DefineDouble("drain-grace", 30.0,
                      "seconds to let in-flight requests finish on "
                      "SIGTERM/SIGINT before cancelling them");
-  flags.DefineString("mode", "epoll",
-                     "serving core: 'epoll' (event loop, binary frames + "
-                     "NDJSON autodetected) or 'threads' "
-                     "(thread-per-connection, NDJSON only)");
-  flags.DefineInt("dispatch-threads", 4,
-                  "epoll mode: worker threads executing requests");
+  flags.DefineInt("dispatch-threads", 4, "worker threads executing requests");
   flags.DefineInt("max-write-buffer", 4 << 20,
-                  "epoll mode: per-connection write-buffer bytes before "
-                  "the connection stops being read (backpressure)");
+                  "per-connection write-buffer bytes before the connection "
+                  "stops being read (backpressure)");
   flags.DefineInt("idle-timeout-ms", 0,
-                  "epoll mode: reap connections with no queued/in-flight "
-                  "work and no read/write progress for this long "
-                  "(0 = never; also bounds slow-loris trickles)");
+                  "reap connections with no queued/in-flight work and no "
+                  "read/write progress for this long (0 = never; also "
+                  "bounds slow-loris trickles)");
   flags.DefineInt("write-stall-timeout-ms", 0,
-                  "epoll mode: reap connections whose peer accepts no "
-                  "response bytes for this long while bytes are owed "
-                  "(0 = never)");
+                  "reap connections whose peer accepts no response bytes "
+                  "for this long while bytes are owed (0 = never)");
   flags.DefineInt("handshake-timeout-ms", 0,
-                  "epoll mode: reap connections that send no first byte "
-                  "(protocol sniff) within this bound (0 = never)");
+                  "reap connections that send no first byte (protocol "
+                  "sniff) within this bound (0 = never)");
   flags.DefineDouble("brownout-p99-ms", 0.0,
                      "enter brownout (tighten the admission queue) when "
                      "the p99 queue wait exceeds this many milliseconds; "
@@ -107,6 +102,31 @@ int main(int argc, char** argv) {
     std::printf("usage: remi_server <kb> [flags]\n\n%s",
                 flags.Help().c_str());
     return 1;
+  }
+  // The casts below would wrap a negative count into a huge size_t (or
+  // an oversized one into a negative or truncated int), so reject both up
+  // front, on the int64 value.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const std::pair<const char*, int> kIntRanges[] = {
+      {"port", 65535}, {"threads", kIntMax}, {"max-inflight", kIntMax},
+      {"max-queued", kIntMax}, {"tenant-max-inflight", kIntMax},
+      {"tenant-max-queued", kIntMax}, {"dispatch-threads", kIntMax},
+      {"max-write-buffer", kIntMax}, {"idle-timeout-ms", kIntMax},
+      {"write-stall-timeout-ms", kIntMax}, {"handshake-timeout-ms", kIntMax}};
+  for (const auto& [name, max] : kIntRanges) {
+    const int64_t value = flags.GetInt(name);
+    if (value < 0 || value > max) {
+      std::fprintf(stderr, "error: --%s must be in [0, %d], got %lld\n",
+                   name, max, static_cast<long long>(value));
+      return 1;
+    }
+  }
+  for (const char* name : {"drain-grace", "brownout-p99-ms"}) {
+    if (!(flags.GetDouble(name) >= 0.0)) {
+      std::fprintf(stderr, "error: --%s must be >= 0, got %g\n", name,
+                   flags.GetDouble(name));
+      return 1;
+    }
   }
 
   remi::KbSpec spec;
@@ -149,46 +169,26 @@ int main(int argc, char** argv) {
   std::printf("loaded %s: %zu facts, %zu entities\n", spec.path.c_str(),
               (*service)->kb().NumFacts(), (*service)->kb().NumEntities());
 
-  const std::string mode = flags.GetString("mode");
-  if (mode != "epoll" && mode != "threads") {
-    std::fprintf(stderr, "error: --mode must be 'epoll' or 'threads'\n");
-    return 1;
-  }
-
-  // Both serving cores share the start / wait-for-signal / drain
-  // lifecycle; only construction differs.
-  remi::LineServer line_server(
-      service->get(), [&] {
-        remi::LineServerOptions o;
-        o.bind_address = flags.GetString("bind");
-        o.port = static_cast<int>(flags.GetInt("port"));
-        return o;
-      }());
-  remi::EventServer event_server(
-      service->get(), [&] {
-        remi::EventServerOptions o;
-        o.bind_address = flags.GetString("bind");
-        o.port = static_cast<int>(flags.GetInt("port"));
-        o.dispatch_threads =
-            static_cast<size_t>(flags.GetInt("dispatch-threads"));
-        o.max_write_buffer_bytes =
-            static_cast<size_t>(flags.GetInt("max-write-buffer"));
-        o.idle_timeout_ms = static_cast<int>(flags.GetInt("idle-timeout-ms"));
-        o.write_stall_timeout_ms =
-            static_cast<int>(flags.GetInt("write-stall-timeout-ms"));
-        o.handshake_timeout_ms =
-            static_cast<int>(flags.GetInt("handshake-timeout-ms"));
-        return o;
-      }());
-  const bool epoll_mode = mode == "epoll";
-  if (auto status = epoll_mode ? event_server.Start() : line_server.Start();
-      !status.ok()) {
+  remi::EventServerOptions server_options;
+  server_options.bind_address = flags.GetString("bind");
+  server_options.port = static_cast<int>(flags.GetInt("port"));
+  server_options.dispatch_threads =
+      static_cast<size_t>(flags.GetInt("dispatch-threads"));
+  server_options.max_write_buffer_bytes =
+      static_cast<size_t>(flags.GetInt("max-write-buffer"));
+  server_options.idle_timeout_ms =
+      static_cast<int>(flags.GetInt("idle-timeout-ms"));
+  server_options.write_stall_timeout_ms =
+      static_cast<int>(flags.GetInt("write-stall-timeout-ms"));
+  server_options.handshake_timeout_ms =
+      static_cast<int>(flags.GetInt("handshake-timeout-ms"));
+  remi::EventServer server(service->get(), server_options);
+  if (auto status = server.Start(); !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
   }
-  const int port = epoll_mode ? event_server.port() : line_server.port();
-  std::printf("remi_server (%s) listening on %s:%d\n", mode.c_str(),
-              flags.GetString("bind").c_str(), port);
+  std::printf("remi_server listening on %s:%d\n",
+              flags.GetString("bind").c_str(), server.port());
   std::fflush(stdout);
 
   // A client that disconnects mid-response must surface as a send()
@@ -203,10 +203,8 @@ int main(int argc, char** argv) {
   const double grace = flags.GetDouble("drain-grace");
   std::printf("draining (grace %.1fs)\n", grace);
   std::fflush(stdout);
-  const bool drained =
-      epoll_mode ? event_server.Drain(grace) : line_server.Drain(grace);
-  if (!epoll_mode) line_server.Stop();
-  std::printf(drained ? "drained cleanly\n"
-                      : "drain grace expired; cancelled stragglers\n");
+  std::printf(server.Drain(grace)
+                  ? "drained cleanly\n"
+                  : "drain grace expired; cancelled stragglers\n");
   return 0;
 }
