@@ -23,9 +23,6 @@
 //   ./bench_chaos_soak [--seed 1] [--duration-s 30] [--clients 4]
 //                      [--reload-interval-ms 200]
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -40,6 +37,7 @@
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
+#include "service/wire_client.h"
 #include "util/io_hooks.h"
 
 namespace remi {
@@ -86,63 +84,10 @@ bool WriteFile(const std::string& path, const std::string& bytes) {
   return (std::fclose(out) == 0) && ok;
 }
 
-// --- clean client (raw syscalls; never routed through io::Hooks) ------------
-
-class RawClient {
- public:
-  enum class ReadResult { kLine, kEof, kTimeout };
-
-  explicit RawClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    timeval tv{};
-    tv.tv_sec = 20;  // liveness bound: trips only if the server wedges
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~RawClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  bool SendLine(const std::string& request) {
-    const std::string wire = request + "\n";
-    size_t sent = 0;
-    while (sent < wire.size()) {
-      const ssize_t n =
-          ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  ReadResult ReadLine(std::string* line) {
-    line->clear();
-    char c = 0;
-    for (;;) {
-      const ssize_t n = ::recv(fd_, &c, 1, 0);
-      if (n == 1) {
-        if (c == '\n') return ReadResult::kLine;
-        line->push_back(c);
-        continue;
-      }
-      if (n == 0 || errno == ECONNRESET) return ReadResult::kEof;
-      if (errno == EINTR) continue;
-      return ReadResult::kTimeout;
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-};
+// Clients are WireClients: raw syscalls, never routed through io::Hooks,
+// so the injector faults the server alone. The receive timeout is the
+// liveness bound: it trips only if the server wedges.
+constexpr std::chrono::seconds kLivenessBound(20);
 
 // --- the soak ---------------------------------------------------------------
 
@@ -239,15 +184,13 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
 
   std::vector<std::string> baselines;
   {
-    RawClient probe(server.port());
-    if (!probe.connected()) return Fail("baseline connect failed");
+    auto probe =
+        WireClient::Connect("127.0.0.1", server.port(), kLivenessBound);
+    if (!probe.ok()) return Fail("baseline connect failed");
     for (const std::string& request : deterministic) {
-      std::string line;
-      if (!probe.SendLine(request) ||
-          probe.ReadLine(&line) != RawClient::ReadResult::kLine) {
-        return Fail("baseline round trip failed");
-      }
-      baselines.push_back(line);
+      auto line = probe->LineRoundTrip(request);
+      if (!line.ok()) return Fail("baseline round trip failed");
+      baselines.push_back(*line);
     }
   }
 
@@ -271,8 +214,9 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
       threads.emplace_back([&, t] {
         uint64_t rng = seed * 0x9e3779b97f4a7c15ull + t + 1;
         while (Clock::now() < deadline) {
-          RawClient client(server.port());
-          if (!client.connected()) continue;
+          auto client =
+              WireClient::Connect("127.0.0.1", server.port(), kLivenessBound);
+          if (!client.ok()) continue;
           // A short pipelined conversation per connection; roughly one
           // request in six is a mine.
           for (int i = 0; i < 6 && Clock::now() < deadline; ++i) {
@@ -281,27 +225,24 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
                 NextRand(&rng) % (mine ? mines.size() : deterministic.size());
             const std::string& request =
                 mine ? mines[pick] : deterministic[pick];
-            if (!client.SendLine(request)) {
-              tally.severed.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
-            std::string line;
-            const auto result = client.ReadLine(&line);
-            if (result == RawClient::ReadResult::kEof) {
-              tally.severed.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
-            if (result == RawClient::ReadResult::kTimeout) {
+            const auto line = client->LineRoundTrip(request);
+            if (!line.ok() && line.status().IsTimeout()) {
               tally.hung.fetch_add(1, std::memory_order_relaxed);
               return;  // liveness is already lost; stop generating load
+            }
+            if (!line.ok()) {
+              // An injected disconnect severed this connection.
+              tally.severed.fetch_add(1, std::memory_order_relaxed);
+              break;
             }
             tally.delivered.fetch_add(1, std::memory_order_relaxed);
             if (mine) {
               tally.mine_lines.fetch_add(1, std::memory_order_relaxed);
-            } else if (line != baselines[pick]) {
+            } else if (*line != baselines[pick]) {
               tally.divergent.fetch_add(1, std::memory_order_relaxed);
-              std::fprintf(stderr, "chaos_soak: DIVERGED\n  want %s\n  got %s\n",
-                           baselines[pick].c_str(), line.c_str());
+              std::fprintf(stderr,
+                           "chaos_soak: DIVERGED\n  want %s\n  got %s\n",
+                           baselines[pick].c_str(), line->c_str());
             }
           }
         }
@@ -340,15 +281,13 @@ int Run(uint64_t seed, int duration_s, int clients, int reload_interval_ms) {
 
   // Post-storm: the hooks are gone; one clean round trip per verb.
   {
-    RawClient probe(server.port());
-    if (!probe.connected()) return Fail("post-storm connect failed");
+    auto probe =
+        WireClient::Connect("127.0.0.1", server.port(), kLivenessBound);
+    if (!probe.ok()) return Fail("post-storm connect failed");
     for (size_t i = 0; i < deterministic.size(); ++i) {
-      std::string line;
-      if (!probe.SendLine(deterministic[i]) ||
-          probe.ReadLine(&line) != RawClient::ReadResult::kLine) {
-        return Fail("post-storm round trip failed");
-      }
-      if (line != baselines[i]) return Fail("post-storm response diverged");
+      auto line = probe->LineRoundTrip(deterministic[i]);
+      if (!line.ok()) return Fail("post-storm round trip failed");
+      if (*line != baselines[i]) return Fail("post-storm response diverged");
     }
   }
 

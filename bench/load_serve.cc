@@ -40,8 +40,6 @@
 // 1-core host the sweep measures protocol + event-loop overhead, not
 // parallel mining throughput.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
@@ -63,10 +61,11 @@
 
 #include "bench_common.h"
 #include "service/event_server.h"
-#include "service/socket_util.h"
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
 #include "service/service.h"
+#include "service/socket_util.h"
+#include "service/wire_client.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -85,70 +84,19 @@ double NowSeconds() {
       .count();
 }
 
-int ConnectLoopback(int port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool SendAllBlocking(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 /// One blocking NDJSON round trip on a fresh connection ("" on failure).
 std::string LineRoundTrip(int port, const std::string& request) {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) return "";
-  std::string response;
-  if (SendAllBlocking(fd, request + "\n")) {
-    char c = 0;
-    while (recv(fd, &c, 1, 0) == 1 && c != '\n') response.push_back(c);
-  }
-  close(fd);
-  return response;
+  auto client = remi::WireClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return "";
+  return client->LineRoundTrip(request).value_or("");
 }
 
 /// One blocking binary round trip on a fresh connection ("" on failure).
-std::string FrameRoundTrip(int port, uint8_t verb, const std::string& payload) {
-  const int fd = ConnectLoopback(port);
-  if (fd < 0) return "";
-  std::string wire;
-  AppendFrame(verb, /*request_id=*/1, payload, &wire);
-  std::string response;
-  if (SendAllBlocking(fd, wire)) {
-    FrameDecoder decoder(64u << 20);
-    char chunk[4096];
-    for (;;) {
-      FrameView frame;
-      const auto result = decoder.Next(&frame);
-      if (result == FrameDecoder::Result::kFrame) {
-        response.assign(frame.payload.data(), frame.payload.size());
-        break;
-      }
-      if (result == FrameDecoder::Result::kError) break;
-      const ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      decoder.Feed(std::string_view(chunk, static_cast<size_t>(n)));
-    }
-  }
-  close(fd);
-  return response;
+std::string FrameRoundTrip(int port, FrameVerb verb,
+                           const std::string& payload) {
+  auto client = remi::WireClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return "";
+  return client->FrameRoundTrip(verb, payload).value_or("");
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +177,7 @@ LoadResult RunOpenLoopLoad(const LoadConfig& config) {
   result.class_p99_ms.assign(config.num_classes, 0.0);
   std::vector<ClientConn> conns(config.connections);
   for (auto& conn : conns) {
-    conn.fd = ConnectLoopback(config.port);
+    conn.fd = remi::ConnectTcp("127.0.0.1", config.port).value_or(-1);
     if (conn.fd >= 0 && !remi::SetNonBlocking(conn.fd)) {
       close(conn.fd);
       conn.fd = -1;
@@ -497,36 +445,20 @@ CapacityResult RunCapacityRamp(size_t limit_mb, size_t max_conns,
   }
 
   result.ran = true;
-  std::vector<int> held;
+  std::vector<remi::WireClient> held;
   held.reserve(max_conns);
-  const std::string ping = "{\"op\":\"ping\"}\n";
   for (size_t i = 0; i < max_conns; ++i) {
-    const int fd = ConnectLoopback(port);
-    if (fd < 0) break;
-    timeval timeout{};
-    timeout.tv_sec = 5;
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    auto client = remi::WireClient::Connect("127.0.0.1", port,
+                                            std::chrono::seconds(5));
+    if (!client.ok()) break;
     // A connection only counts if the server actually serves it: an
     // accept()ed-then-shed connection answers the ping with EOF.
-    bool served = false;
-    if (SendAllBlocking(fd, ping)) {
-      char c = 0;
-      while (recv(fd, &c, 1, 0) == 1) {
-        if (c == '\n') {
-          served = true;
-          break;
-        }
-      }
-    }
-    if (!served) {
-      close(fd);
-      break;
-    }
-    held.push_back(fd);  // stays open: concurrency is the resource
+    if (!client->LineRoundTrip(R"({"op":"ping"})").ok()) break;
+    held.push_back(std::move(*client));  // open: concurrency is the resource
   }
   result.sustained = held.size();
   result.hit_cap = held.size() == max_conns;
-  for (const int fd : held) close(fd);
+  held.clear();
   kill(child, SIGKILL);
   waitpid(child, nullptr, 0);
   return result;
@@ -546,8 +478,8 @@ bool CheckEquivalence(int port, const std::vector<EquivalenceCase>& cases,
   bool all_identical = true;
   for (const auto& test_case : cases) {
     const std::string line = LineRoundTrip(port, test_case.payload);
-    const std::string frame = FrameRoundTrip(
-        port, static_cast<uint8_t>(test_case.verb), test_case.payload);
+    const std::string frame =
+        FrameRoundTrip(port, test_case.verb, test_case.payload);
     ++*checked;
     if (line.empty() || line != frame) {
       std::fprintf(stderr,
@@ -741,8 +673,16 @@ int main(int argc, char** argv) {
   signal(SIGPIPE, SIG_IGN);
 
   // ---- CI smoke mode: external server, pass/fail only. ----
-  if (flags.GetInt("connect") != 0) {
-    const int port = static_cast<int>(flags.GetInt("connect"));
+  if (const int64_t connect = flags.GetInt("connect"); connect != 0) {
+    // Checked before the int cast, which would truncate 2^32 + 6464 to
+    // the valid port 6464.
+    if (connect < 1 || connect > 65535) {
+      std::fprintf(stderr,
+                   "error: --connect must be in [1, 65535], got %lld\n",
+                   static_cast<long long>(connect));
+      return 1;
+    }
+    const int port = static_cast<int>(connect);
     const std::string target = flags.GetString("target");
     bool ok = true;
 
@@ -780,8 +720,8 @@ int main(int argc, char** argv) {
     }
 
     remi::bench::Banner("counter identity (wire)");
-    const std::string counters_doc = FrameRoundTrip(
-        port, static_cast<uint8_t>(FrameVerb::kCounters), "");
+    const std::string counters_doc =
+        FrameRoundTrip(port, FrameVerb::kCounters, "");
     auto counters = remi::ParseJson(counters_doc);
     if (!counters.ok()) {
       ok = false;
@@ -858,10 +798,9 @@ int main(int argc, char** argv) {
 
       // Per-tenant identity + registry gauges after everything drained.
       const std::string slice_doc = FrameRoundTrip(
-          port, static_cast<uint8_t>(FrameVerb::kCounters),
-          R"({"kb":")" + kb_name + R"("})");
-      const std::string global_doc = FrameRoundTrip(
-          port, static_cast<uint8_t>(FrameVerb::kCounters), "");
+          port, FrameVerb::kCounters, R"({"kb":")" + kb_name + R"("})");
+      const std::string global_doc =
+          FrameRoundTrip(port, FrameVerb::kCounters, "");
       auto slice = remi::ParseJson(slice_doc);
       auto global_counters = remi::ParseJson(global_doc);
       if (!slice.ok() || !global_counters.ok()) {

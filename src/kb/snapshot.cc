@@ -728,22 +728,22 @@ Status KnowledgeBase::SaveSnapshot(const std::string& path) const {
   auto fail = [&](const std::string& what) {
     const Status status =
         Status::IoError(what + " " + tmp + ": " + std::strerror(errno));
-    io::Hooks().Close(fd);
+    io::Hooks()->Close(fd);
     ::unlink(tmp.c_str());
     return status;
   };
   size_t written = 0;
   while (written < bytes.size()) {
     const ssize_t n =
-        io::Hooks().Write(fd, bytes.data() + written, bytes.size() - written);
+        io::Hooks()->Write(fd, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       return fail("write failure on");
     }
     written += static_cast<size_t>(n);
   }
-  if (io::Hooks().Fsync(fd) != 0) return fail("fsync failure on");
-  if (io::Hooks().Close(fd) != 0) {
+  if (io::Hooks()->Fsync(fd) != 0) return fail("fsync failure on");
+  if (io::Hooks()->Close(fd) != 0) {
     // close(2) can report a deferred write error; the data may be torn.
     const Status status =
         Status::IoError("close failure on " + tmp + ": " +
@@ -751,7 +751,7 @@ Status KnowledgeBase::SaveSnapshot(const std::string& path) const {
     ::unlink(tmp.c_str());
     return status;
   }
-  if (io::Hooks().Rename(tmp.c_str(), path.c_str()) != 0) {
+  if (io::Hooks()->Rename(tmp.c_str(), path.c_str()) != 0) {
     const Status status = Status::IoError("rename " + tmp + " -> " + path +
                                           ": " + std::strerror(errno));
     ::unlink(tmp.c_str());
@@ -769,13 +769,13 @@ Status KnowledgeBase::SaveSnapshot(const std::string& path) const {
     return Status::IoError("cannot open directory " + dir +
                            " for fsync: " + std::strerror(errno));
   }
-  if (io::Hooks().Fsync(dir_fd) != 0) {
+  if (io::Hooks()->Fsync(dir_fd) != 0) {
     const Status status = Status::IoError("fsync failure on directory " +
                                           dir + ": " + std::strerror(errno));
-    io::Hooks().Close(dir_fd);
+    io::Hooks()->Close(dir_fd);
     return status;
   }
-  io::Hooks().Close(dir_fd);
+  io::Hooks()->Close(dir_fd);
   return Status::OK();
 }
 

@@ -240,8 +240,8 @@ void EventServer::LoopThread() {
       timeout_ms = wheel_delay;
     }
     const int n =
-        io::Hooks().EpollWait(epoll_fd_, events.data(),
-                              static_cast<int>(events.size()), timeout_ms);
+        io::Hooks()->EpollWait(epoll_fd_, events.data(),
+                               static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       std::fprintf(stderr, "event_server: epoll_wait: %s\n",
@@ -327,7 +327,7 @@ void EventServer::HandleControl() {
 void EventServer::AcceptReady() {
   for (;;) {
     const int fd =
-        io::Hooks().Accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+        io::Hooks()->Accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) {
       const int err = errno;
       if (err == EAGAIN || err == EWOULDBLOCK) return;  // backlog drained
@@ -413,7 +413,7 @@ void EventServer::ReadReady(Connection* conn) {
   // Bounded per event so one firehose client cannot starve the rest;
   // level-triggered epoll re-fires for what is left.
   for (int round = 0; round < 4; ++round) {
-    const ssize_t n = io::Hooks().Recv(conn->fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = io::Hooks()->Recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -625,8 +625,8 @@ void EventServer::FlushAndUpdate(Connection* conn) {
   if (conn->fd < 0) return;
   while (!conn->write_buffer.Empty()) {
     const std::string_view pending = conn->write_buffer.Pending();
-    const ssize_t n = io::Hooks().Send(conn->fd, pending.data(),
-                                       pending.size(), MSG_NOSIGNAL);
+    const ssize_t n = io::Hooks()->Send(conn->fd, pending.data(),
+                                        pending.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -667,7 +667,7 @@ void EventServer::FlushAndUpdate(Connection* conn) {
 void EventServer::CloseConnection(Connection* conn) {
   if (conn->fd >= 0) {
     epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    io::Hooks().Close(conn->fd);
+    io::Hooks()->Close(conn->fd);
     conn->fd = -1;
   }
   const uint64_t id = conn->id;

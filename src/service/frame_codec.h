@@ -1,5 +1,5 @@
 // Length-prefixed binary framing for the multiplexed wire protocol
-// (EventServer, remi_cli, the load generator).
+// (EventServer, WireClient, the load generator).
 //
 // One connection carries many in-flight requests: every frame bears a
 // client-chosen request id, responses are matched by id and may complete
@@ -121,7 +121,10 @@ class FrameDecoder {
   /// final error frame.
   uint64_t error_request_id() const { return error_request_id_; }
 
-  size_t buffered_bytes() const { return buffer_.PendingSize(); }
+  /// Bytes received but not yet returned as a frame.
+  size_t buffered_bytes() const {
+    return buffer_.PendingSize() - pending_consume_;
+  }
 
  private:
   size_t max_payload_bytes_;

@@ -1,15 +1,18 @@
 // Small socket-layer utilities shared by the serving transport
-// (EventServer) and its clients (the load generator): a
-// consume-from-the-front byte buffer with amortized O(1) compaction, an
-// accept(2) errno classifier, and an O_NONBLOCK helper. Kept
-// transport-agnostic: nothing here knows about requests, framing, or the
-// Service.
+// (EventServer) and its clients (WireClient, the load generator's
+// nonblocking connections): a consume-from-the-front byte buffer with
+// amortized O(1) compaction, an accept(2) errno classifier, an
+// O_NONBLOCK helper, and the one blocking TCP connect every client uses.
+// Kept transport-agnostic: nothing here knows about requests, framing,
+// or the Service.
 
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <string_view>
+
+#include "util/status.h"
 
 namespace remi {
 
@@ -90,5 +93,11 @@ AcceptErrorAction ClassifyAcceptError(int err);
 
 /// Sets O_NONBLOCK on `fd`; false on fcntl failure.
 bool SetNonBlocking(int fd);
+
+/// Opens a blocking TCP connection to `host` (an IPv4 literal) on `port`
+/// with raw syscalls; the caller owns the returned fd. InvalidArgument
+/// for a port outside [1, 65535] or an unparsable host, before any
+/// socket is opened; IoError when socket(2) or connect(2) fails.
+Result<int> ConnectTcp(const std::string& host, int port);
 
 }  // namespace remi

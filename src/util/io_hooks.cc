@@ -5,10 +5,37 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 namespace remi {
 namespace io {
+
+namespace {
+
+constexpr int kInstalledEpollWaitMs = 10;
+
+IoHooks& Passthrough() {
+  static IoHooks passthrough;
+  return passthrough;
+}
+
+/// The installed table and the calls in flight on it. A call pins
+/// before it loads the table; SetHooks swaps the table, then waits for
+/// the pins to drop to zero.
+struct Seam {
+  std::atomic<IoHooks*> active{nullptr};
+  std::atomic<uint64_t> in_flight{0};
+  std::mutex install_mu;  ///< serializes SetHooks; never taken per call
+};
+
+Seam& TheSeam() {
+  static Seam seam;
+  return seam;
+}
+
+}  // namespace
 
 // --- pass-through table ------------------------------------------------------
 
@@ -35,6 +62,12 @@ int IoHooks::Accept4(int fd, struct sockaddr* addr, socklen_t* addrlen,
 
 int IoHooks::EpollWait(int epfd, struct epoll_event* events, int maxevents,
                        int timeout_ms) {
+  // An idle loop inside an installed table's epoll_wait(-1) would hold
+  // that table's pin, and SetHooks, forever.
+  if (this != &Passthrough() &&
+      (timeout_ms < 0 || timeout_ms > kInstalledEpollWaitMs)) {
+    timeout_ms = kInstalledEpollWaitMs;
+  }
   return ::epoll_wait(epfd, events, maxevents, timeout_ms);
 }
 
@@ -53,16 +86,6 @@ void* IoHooks::Mmap(void* addr, size_t length, int prot, int flags, int fd,
 
 namespace {
 
-IoHooks& Passthrough() {
-  static IoHooks passthrough;
-  return passthrough;
-}
-
-std::atomic<IoHooks*>& ActiveSlot() {
-  static std::atomic<IoHooks*> active{nullptr};
-  return active;
-}
-
 /// splitmix64: a full-period 64-bit mixer. Indexed by an atomic cursor so
 /// the decision *stream* is fixed by the seed regardless of which thread
 /// draws which index.
@@ -75,13 +98,30 @@ uint64_t SplitMix64(uint64_t x) {
 
 }  // namespace
 
-IoHooks& Hooks() {
-  IoHooks* active = ActiveSlot().load(std::memory_order_acquire);
-  return active != nullptr ? *active : Passthrough();
+PinnedHooks Hooks() {
+  Seam& seam = TheSeam();
+  // The pass-through is static and needs no pin.
+  if (seam.active.load(std::memory_order_acquire) == nullptr) {
+    return PinnedHooks(&Passthrough(), nullptr);
+  }
+  seam.in_flight.fetch_add(1);
+  // Loaded after the pin: a SetHooks that replaces this table swaps it
+  // out after this load, so its wait sees the pin.
+  if (IoHooks* active = seam.active.load()) {
+    return PinnedHooks(active, &seam.in_flight);
+  }
+  seam.in_flight.fetch_sub(1, std::memory_order_release);
+  return PinnedHooks(&Passthrough(), nullptr);
 }
 
 IoHooks* SetHooks(IoHooks* hooks) {
-  return ActiveSlot().exchange(hooks, std::memory_order_acq_rel);
+  Seam& seam = TheSeam();
+  std::lock_guard<std::mutex> lock(seam.install_mu);
+  IoHooks* previous = seam.active.exchange(hooks);
+  while (seam.in_flight.load() != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return previous;
 }
 
 // --- fault injector ----------------------------------------------------------

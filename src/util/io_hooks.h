@@ -10,9 +10,9 @@
 // LD_PRELOAD tricks or real resource exhaustion.
 //
 // Scope discipline: only *server-side* transport and persistence code
-// routes through the hooks. Client helpers (remi_cli's round trips, test
-// clients, the chaos harness's own load generators) use raw syscalls, so
-// a single process can run a faulted server against clean clients.
+// routes through the hooks. The one client, WireClient
+// (service/wire_client.h), makes raw syscalls, so a single process can
+// run a faulted server against clean clients.
 //
 // The injector is deterministic per seed: fault decisions come from a
 // counted splitmix64 stream, so a single-threaded caller replays the
@@ -61,13 +61,44 @@ class IoHooks {
                      off_t offset);
 };
 
+/// \brief The active table, pinned while this guard lives: SetHooks
+/// does not return while a guard on the table it replaces is alive.
+/// Take it within one expression, `io::Hooks()->Recv(...)`, so the pin
+/// spans exactly the call.
+class PinnedHooks {
+ public:
+  ~PinnedHooks() {
+    if (in_flight_ != nullptr) {
+      in_flight_->fetch_sub(1, std::memory_order_release);
+    }
+  }
+  PinnedHooks(const PinnedHooks&) = delete;
+  PinnedHooks& operator=(const PinnedHooks&) = delete;
+
+  IoHooks* operator->() const { return hooks_; }
+  IoHooks* get() const { return hooks_; }
+
+ private:
+  friend PinnedHooks Hooks();
+  PinnedHooks(IoHooks* hooks, std::atomic<uint64_t>* in_flight)
+      : hooks_(hooks), in_flight_(in_flight) {}
+
+  IoHooks* hooks_;
+  std::atomic<uint64_t>* in_flight_;  ///< null for the pass-through
+};
+
 /// The active table; never null (pass-through by default). Fetched per
-/// call, so an install takes effect on the next syscall.
-IoHooks& Hooks();
+/// call, so an install takes effect on the next syscall. The per-call
+/// path takes no lock: with nothing installed it is one atomic load.
+PinnedHooks Hooks();
 
 /// Installs `hooks` (nullptr restores the pass-through) and returns the
-/// previously installed table (nullptr = pass-through was active). The
-/// caller keeps ownership; the hooks must outlive their installation.
+/// previously installed table (nullptr = pass-through was active), once
+/// no call into that table is in flight: a test may destroy its injector
+/// as soon as its ScopedHooks ends. The caller keeps ownership; the hooks
+/// must outlive their installation. An installed table's epoll_wait
+/// sleeps at most 10 ms per call, so an idle event loop leaves it
+/// promptly.
 IoHooks* SetHooks(IoHooks* hooks);
 
 /// RAII installation for tests: installs on construction, restores the

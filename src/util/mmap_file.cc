@@ -37,7 +37,7 @@ Status ReadWholeFile(const std::string& path, std::vector<uint64_t>* heap,
   char* dst = reinterpret_cast<char*>(heap->data());
   size_t got = 0;
   while (got < n) {
-    const ssize_t r = io::Hooks().Read(fd, dst + got, n - got);
+    const ssize_t r = io::Hooks()->Read(fd, dst + got, n - got);
     if (r < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
@@ -113,7 +113,7 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
         ::close(fd);
         return file;  // empty file: empty view, nothing to map
       }
-      void* map = io::Hooks().Mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);
+      void* map = io::Hooks()->Mmap(nullptr, n, PROT_READ, MAP_PRIVATE, fd, 0);
       ::close(fd);
       if (map != MAP_FAILED) {
         file.base_ = map;

@@ -16,11 +16,6 @@
 // CI runs this file under TSan (filter Chaos*) and the longer seeded
 // variant as bench/chaos_soak.cc under ASan with leak detection.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,6 +28,7 @@
 #include "kb/knowledge_base.h"
 #include "service/event_server.h"
 #include "service/service.h"
+#include "service/wire_client.h"
 #include "util/io_hooks.h"
 
 namespace remi {
@@ -65,65 +61,12 @@ KnowledgeBase ChaosKb() {
   return KnowledgeBase::Build(std::move(dict), std::move(triples));
 }
 
-/// A blocking NDJSON client on raw syscalls — deliberately NOT routed
-/// through io::Hooks(), so it stays clean while the server is faulted.
-class RawClient {
- public:
-  enum class ReadResult { kLine, kEof, kTimeout };
-
-  explicit RawClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    // Bounded reads: a stuck server must surface as kTimeout, not as a
-    // hung test binary.
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~RawClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  bool SendLine(const std::string& request) {
-    const std::string wire = request + "\n";
-    size_t sent = 0;
-    while (sent < wire.size()) {
-      const ssize_t n =
-          ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;  // injected disconnect closed our peer
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  ReadResult ReadLine(std::string* line) {
-    line->clear();
-    char c = 0;
-    for (;;) {
-      const ssize_t n = ::recv(fd_, &c, 1, 0);
-      if (n == 1) {
-        if (c == '\n') return ReadResult::kLine;
-        line->push_back(c);
-        continue;
-      }
-      if (n == 0 || errno == ECONNRESET) return ReadResult::kEof;
-      if (errno == EINTR) continue;
-      return ReadResult::kTimeout;  // SO_RCVTIMEO fired: the server hung
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-};
+/// Clients are WireClients: raw syscalls, so they stay clean while the
+/// server is faulted. The receive timeout turns a stuck server into a
+/// Timeout, not a hung test binary.
+Result<WireClient> Dial(int port) {
+  return WireClient::Connect("127.0.0.1", port, std::chrono::seconds(10));
+}
 
 class ChaosServiceTest : public ::testing::Test {
  protected:
@@ -180,13 +123,13 @@ class ChaosServiceTest : public ::testing::Test {
   /// Fault-free baselines, one response line per request.
   std::vector<std::string> CollectBaselines() {
     std::vector<std::string> baselines;
-    RawClient client(server_->port());
-    EXPECT_TRUE(client.connected());
+    auto client = Dial(server_->port());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    if (!client.ok()) return baselines;
     for (const std::string& request : Requests()) {
-      EXPECT_TRUE(client.SendLine(request));
-      std::string line;
-      EXPECT_EQ(client.ReadLine(&line), RawClient::ReadResult::kLine);
-      baselines.push_back(line);
+      auto line = client->LineRoundTrip(request);
+      EXPECT_TRUE(line.ok()) << line.status().ToString();
+      baselines.push_back(line.value_or(""));
     }
     return baselines;
   }
@@ -264,27 +207,22 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
     for (int t = 0; t < kClients; ++t) {
       threads.emplace_back([&] {
         for (int round = 0; round < kRoundsPerClient; ++round) {
-          RawClient client(server_->port());
-          if (!client.connected()) continue;  // injected EMFILE burst
+          auto client = Dial(server_->port());
+          if (!client.ok()) continue;  // injected EMFILE burst
           for (size_t i = 0; i < Requests().size(); ++i) {
-            if (!client.SendLine(Requests()[i])) {
-              severed.fetch_add(1, std::memory_order_relaxed);
+            const auto line = client->LineRoundTrip(Requests()[i]);
+            if (!line.ok() && line.status().IsTimeout()) {
+              hung.fetch_add(1, std::memory_order_relaxed);
               break;
             }
-            std::string line;
-            const auto result = client.ReadLine(&line);
-            if (result == RawClient::ReadResult::kEof) {
+            if (!line.ok()) {
               // An injected disconnect killed this connection; the
               // request did not survive, so no identity claim applies.
               severed.fetch_add(1, std::memory_order_relaxed);
               break;
             }
-            if (result == RawClient::ReadResult::kTimeout) {
-              hung.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
             delivered.fetch_add(1, std::memory_order_relaxed);
-            if (line != baselines[i]) {
+            if (*line != baselines[i]) {
               divergent.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -322,12 +260,11 @@ TEST_F(ChaosServiceTest, FaultStormPreservesLivenessIdentityAndAccounting) {
   EXPECT_EQ(reloads_ok.load(), 6u);
 
   // The hooks are gone: a clean client gets baseline answers again.
-  RawClient after(server_->port());
-  ASSERT_TRUE(after.connected());
-  ASSERT_TRUE(after.SendLine(Requests()[0]));
-  std::string line;
-  ASSERT_EQ(after.ReadLine(&line), RawClient::ReadResult::kLine);
-  EXPECT_EQ(line, baselines[0]);
+  auto after = Dial(server_->port());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto line = after->LineRoundTrip(Requests()[0]);
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  EXPECT_EQ(*line, baselines[0]);
 
   ExpectExactAccounting();
 }
@@ -344,28 +281,25 @@ TEST_F(ChaosServiceTest, AcceptExhaustionStormLeavesTheListenerAlive) {
     // Under an EMFILE/ENFILE/ENOMEM storm half the accepts fail; the
     // loop must survive every one of them and keep accepting the rest.
     for (int i = 0; i < 8; ++i) {
-      RawClient client(server_->port());
-      if (!client.connected()) {
+      auto client = Dial(server_->port());
+      if (!client.ok()) {
         ++refused;
         continue;
       }
-      if (!client.SendLine(Requests()[0])) continue;
-      std::string line;
-      const auto result = client.ReadLine(&line);
-      if (result == RawClient::ReadResult::kLine) {
-        EXPECT_EQ(line, baselines[0]);
+      const auto line = client->LineRoundTrip(Requests()[0]);
+      if (line.ok()) {
+        EXPECT_EQ(*line, baselines[0]);
       }
     }
     EXPECT_GT(injector.injected(io::IoOp::kAccept), 0u);
   }
 
   // The listener survived the storm: a clean connect works first try.
-  RawClient after(server_->port());
-  ASSERT_TRUE(after.connected());
-  ASSERT_TRUE(after.SendLine(Requests()[0]));
-  std::string line;
-  ASSERT_EQ(after.ReadLine(&line), RawClient::ReadResult::kLine);
-  EXPECT_EQ(line, baselines[0]);
+  auto after = Dial(server_->port());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto line = after->LineRoundTrip(Requests()[0]);
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  EXPECT_EQ(*line, baselines[0]);
   EXPECT_GT(service_->counters().accept_errors_retried, 0u);
   EXPECT_EQ(service_->counters().accept_errors_fatal, 0u);
 }

@@ -5,11 +5,6 @@
 
 #include "service/event_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +19,10 @@
 
 #include "service/frame_codec.h"
 #include "service/json_codec.h"
+#include "service/wire_client.h"
 #include "util/io_hooks.h"
 #include "util/json.h"
+#include "wire_test_util.h"
 
 #ifndef REMI_TESTDATA_DIR
 #define REMI_TESTDATA_DIR "tests/data"
@@ -33,106 +30,6 @@
 
 namespace remi {
 namespace {
-
-/// A blocking client over one TCP connection, usable for both wire modes
-/// (raw byte send plus line- and frame-oriented reads).
-class TestClient {
- public:
-  explicit TestClient(int port, bool expect_connect = true) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                         sizeof(addr)) == 0;
-    if (expect_connect) EXPECT_TRUE(connected_);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void SendRaw(std::string_view data) {
-    size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n =
-          send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  /// Sends the bytes one at a time — the adversarial recv-boundary case.
-  void SendByteByByte(std::string_view data) {
-    for (const char byte : data) {
-      SendRaw(std::string_view(&byte, 1));
-    }
-  }
-
-  void SendLine(const std::string& request) { SendRaw(request + "\n"); }
-
-  void SendFrame(FrameVerb verb, uint64_t request_id,
-                 const std::string& payload) {
-    std::string wire;
-    AppendFrame(static_cast<uint8_t>(verb), request_id, payload, &wire);
-    SendRaw(wire);
-  }
-
-  /// Reads one response line (fails the test on EOF).
-  std::string ReadLine() {
-    std::string line;
-    char c = 0;
-    while (recv(fd_, &c, 1, 0) == 1) {
-      if (c == '\n') return line;
-      line.push_back(c);
-    }
-    ADD_FAILURE() << "connection closed before a full response line";
-    return line;
-  }
-
-  /// Reads one complete response frame.
-  bool ReadFrame(uint8_t* verb, uint64_t* request_id, std::string* payload) {
-    char chunk[4096];
-    for (;;) {
-      FrameView frame;
-      const auto result = decoder_.Next(&frame);
-      if (result == FrameDecoder::Result::kFrame) {
-        *verb = frame.verb;
-        *request_id = frame.request_id;
-        payload->assign(frame.payload.data(), frame.payload.size());
-        return true;
-      }
-      if (result == FrameDecoder::Result::kError) return false;
-      const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      decoder_.Feed(std::string_view(chunk, static_cast<size_t>(n)));
-    }
-  }
-
-  /// True iff the server closed its end (clean EOF).
-  bool AtEof() {
-    char c = 0;
-    return recv(fd_, &c, 1, 0) == 0;
-  }
-
-  void ShutdownWrite() { shutdown(fd_, SHUT_WR); }
-
-  /// Sends one request line and parses the one response line.
-  JsonValue Request(const std::string& line) {
-    SendLine(line);
-    auto parsed = ParseJson(ReadLine());
-    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << line;
-    return parsed.ok() ? *parsed : JsonValue();
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  FrameDecoder decoder_{64u << 20};
-};
 
 class EventServerTest : public ::testing::Test {
  protected:
@@ -151,10 +48,9 @@ class EventServerTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  JsonValue Parse(const std::string& doc) {
-    auto parsed = ParseJson(doc);
-    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << doc;
-    return parsed.ok() ? *parsed : JsonValue();
+  /// Sends one request line and parses the one response line.
+  JsonValue Request(WireClient& client, const std::string& line) {
+    return Parse(client.LineRoundTrip(line));
   }
 
   // A peer observes EOF the instant the fd closes, a beat before the
@@ -175,25 +71,28 @@ class EventServerTest : public ::testing::Test {
 
 TEST_F(EventServerTest, NdjsonDebugModeServesTheLineProtocol) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  client.SendLine(R"({"op":"ping"})");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Request(*client, R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
 
-  client.SendLine(R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
-  JsonValue mine = Parse(client.ReadLine());
+  JsonValue mine = Request(
+      *client, R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
   EXPECT_EQ(mine.Find("status")->AsString(), "OK");
   EXPECT_TRUE(mine.Find("found")->AsBool());
 }
 
 TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // Good reload: re-open the same smoke KB as generation 2.
   const std::string smoke = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
   JsonValue good =
-      client.Request(std::string(R"({"op":"reload","path":")") + smoke + "\"}");
+      Request(*client,
+              std::string(R"({"op":"reload","path":")") + smoke + "\"}");
   EXPECT_EQ(good.Find("status")->AsString(), "OK");
   EXPECT_EQ(good.Find("generation")->AsNumber(), 2.0);
   EXPECT_GT(good.Find("facts")->AsNumber(), 0.0);
@@ -206,17 +105,18 @@ TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
     std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
     out << "RKF2 this is not a snapshot";
   }
-  JsonValue corrupt = client.Request(
-      std::string(R"({"op":"reload","path":")") + corrupt_path + "\"}");
+  JsonValue corrupt =
+      Request(*client, std::string(R"({"op":"reload","path":")") +
+                           corrupt_path + "\"}");
   EXPECT_EQ(corrupt.Find("status")->AsString(), "Corruption");
   EXPECT_EQ(corrupt.Find("generation")->AsNumber(), 2.0);
 
   // Still mining, and the stats op reports the registry counters.
-  EXPECT_EQ(client.Request(R"({"op":"mine","targets":["Berlin"]})")
+  EXPECT_EQ(Request(*client, R"({"op":"mine","targets":["Berlin"]})")
                 .Find("status")
                 ->AsString(),
             "OK");
-  JsonValue stats = client.Request(R"({"op":"stats"})");
+  JsonValue stats = Request(*client, R"({"op":"stats"})");
   EXPECT_EQ(stats.Find("generation")->AsNumber(), 2.0);
   EXPECT_EQ(stats.Find("reloads_ok")->AsNumber(), 1.0);
   EXPECT_EQ(stats.Find("reloads_rejected")->AsNumber(), 1.0);
@@ -226,11 +126,12 @@ TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
 
 TEST_F(EventServerTest, StopClosesOpenConnections) {
   StartServer();
-  TestClient client(server_->port());
-  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(Request(*client, R"({"op":"ping"})").Find("status")->AsString(),
             "OK");
   server_->Stop();  // must return with the connection still open
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
 }
 
 TEST_F(EventServerTest, StartRejectsOutOfRangePort) {
@@ -243,12 +144,18 @@ TEST_F(EventServerTest, StartRejectsOutOfRangePort) {
     options.port = port;
     EventServer server(service->get(), options);
     EXPECT_TRUE(server.Start().IsInvalidArgument()) << "port " << port;
+    // The client refuses the same ports without opening a socket.
+    EXPECT_TRUE(WireClient::Connect("127.0.0.1", port)
+                    .status()
+                    .IsInvalidArgument())
+        << "port " << port;
   }
 }
 
 TEST_F(EventServerTest, PipelinedNdjsonAcrossArbitraryRecvBoundaries) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // Several requests pipelined into one stream, delivered byte by byte:
   // the server sees every possible partial-line state.
@@ -260,11 +167,13 @@ TEST_F(EventServerTest, PipelinedNdjsonAcrossArbitraryRecvBoundaries) {
     stream += R"({"op":"summarize","entity":"Berlin","k":2})";
     stream += "\n";
   }
-  client.SendByteByByte(stream);
+  for (const char byte : stream) {
+    ASSERT_TRUE(client->Send(std::string_view(&byte, 1)).ok());
+  }
 
   for (int i = 0; i < kRequests; ++i) {
-    EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
-    JsonValue summary = Parse(client.ReadLine());
+    EXPECT_EQ(Parse(client->ReadLine()).Find("status")->AsString(), "OK");
+    JsonValue summary = Parse(client->ReadLine());
     EXPECT_EQ(summary.Find("status")->AsString(), "OK");
     EXPECT_EQ(summary.Find("entity")->AsString(), "Berlin");
   }
@@ -272,25 +181,28 @@ TEST_F(EventServerTest, PipelinedNdjsonAcrossArbitraryRecvBoundaries) {
 
 TEST_F(EventServerTest, BinaryFramesAcrossArbitraryRecvBoundaries) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // Frame headers and payloads split at every byte boundary.
   std::string wire;
   AppendFrame(static_cast<uint8_t>(FrameVerb::kPing), 11, "", &wire);
   AppendFrame(static_cast<uint8_t>(FrameVerb::kSummarize), 12,
               R"({"entity":"Berlin","k":2})", &wire);
-  client.SendByteByByte(wire);
+  for (const char byte : wire) {
+    ASSERT_TRUE(client->Send(std::string_view(&byte, 1)).ok());
+  }
 
   std::map<uint64_t, std::string> responses;
   for (int i = 0; i < 2; ++i) {
-    uint8_t verb = 0;
-    uint64_t id = 0;
-    std::string payload;
-    ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
-    responses[id] = payload;
+    auto frame = client->ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    responses[frame->request_id] = frame->payload;
     // Responses echo the request verb.
-    EXPECT_EQ(verb, id == 11 ? static_cast<uint8_t>(FrameVerb::kPing)
-                             : static_cast<uint8_t>(FrameVerb::kSummarize));
+    EXPECT_EQ(frame->verb,
+              frame->request_id == 11
+                  ? static_cast<uint8_t>(FrameVerb::kPing)
+                  : static_cast<uint8_t>(FrameVerb::kSummarize));
   }
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(Parse(responses[11]).Find("status")->AsString(), "OK");
@@ -303,7 +215,8 @@ TEST_F(EventServerTest, MultiplexedResponsesMatchedByRequestId) {
   EventServerOptions options;
   options.dispatch_threads = 4;
   StartServer(options);
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // Many in-flight requests of mixed cost on ONE connection. Responses
   // may legally arrive in any order (that is the point of the id); the
@@ -311,24 +224,25 @@ TEST_F(EventServerTest, MultiplexedResponsesMatchedByRequestId) {
   // once, each response carrying its request's verb and a valid payload.
   const int kMines = 6;
   const int kPings = 6;
+  const std::string mine_payload = R"({"targets":["Berlin","Hamburg"]})";
   for (int i = 0; i < kMines; ++i) {
-    client.SendFrame(FrameVerb::kMine, 100 + static_cast<uint64_t>(i),
-                     R"({"targets":["Berlin","Hamburg"]})");
+    const uint64_t id = 100 + static_cast<uint64_t>(i);
+    ASSERT_TRUE(client->SendFrame(FrameVerb::kMine, id, mine_payload).ok());
   }
   for (int i = 0; i < kPings; ++i) {
-    client.SendFrame(FrameVerb::kPing, 200 + static_cast<uint64_t>(i), "");
+    const uint64_t id = 200 + static_cast<uint64_t>(i);
+    ASSERT_TRUE(client->SendFrame(FrameVerb::kPing, id, "").ok());
   }
 
   std::map<uint64_t, uint8_t> verbs;
   std::map<uint64_t, std::string> payloads;
   for (int i = 0; i < kMines + kPings; ++i) {
-    uint8_t verb = 0;
-    uint64_t id = 0;
-    std::string payload;
-    ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
+    auto frame = client->ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    const uint64_t id = frame->request_id;
     EXPECT_EQ(verbs.count(id), 0u) << "duplicate response for id " << id;
-    verbs[id] = verb;
-    payloads[id] = payload;
+    verbs[id] = frame->verb;
+    payloads[id] = frame->payload;
   }
   ASSERT_EQ(verbs.size(), static_cast<size_t>(kMines + kPings));
   for (int i = 0; i < kMines; ++i) {
@@ -363,59 +277,57 @@ TEST_F(EventServerTest, NdjsonAndBinaryResponsesAreByteIdentical) {
        R"({"op":"mine","targets":["NoSuchEntityAnywhere"]})"},
   };
   for (const auto& test_case : kCases) {
-    TestClient ndjson(server_->port());
-    ndjson.SendLine(test_case.payload);
-    const std::string line_response = ndjson.ReadLine();
+    auto ndjson = Dial(server_->port());
+    ASSERT_TRUE(ndjson.ok()) << ndjson.status().ToString();
+    auto line_response = ndjson->LineRoundTrip(test_case.payload);
+    ASSERT_TRUE(line_response.ok()) << line_response.status().ToString();
 
-    TestClient binary(server_->port());
-    binary.SendFrame(test_case.verb, 1, test_case.payload);
-    uint8_t verb = 0;
-    uint64_t id = 0;
-    std::string frame_response;
-    ASSERT_TRUE(binary.ReadFrame(&verb, &id, &frame_response));
-    EXPECT_EQ(id, 1u);
-    EXPECT_EQ(frame_response, line_response)
+    auto binary = Dial(server_->port());
+    ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+    ASSERT_TRUE(binary->SendFrame(test_case.verb, 1, test_case.payload).ok());
+    auto frame_response = binary->ReadFrame();
+    ASSERT_TRUE(frame_response.ok()) << frame_response.status().ToString();
+    EXPECT_EQ(frame_response->request_id, 1u);
+    EXPECT_EQ(frame_response->payload, *line_response)
         << "wire modes disagree for " << test_case.payload;
   }
 }
 
 TEST_F(EventServerTest, UnknownVerbIsARequestLevelError) {
   StartServer();
-  TestClient client(server_->port());
-  client.SendFrame(static_cast<FrameVerb>(99), 7, "");
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
-  ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
-  EXPECT_EQ(id, 7u);
-  EXPECT_EQ(Parse(payload).Find("status")->AsString(), "InvalidArgument");
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->SendFrame(static_cast<FrameVerb>(99), 7, "").ok());
+  auto frame = client->ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->request_id, 7u);
+  EXPECT_EQ(Parse(frame->payload).Find("status")->AsString(),
+            "InvalidArgument");
 
   // The connection survives a request-level error.
-  client.SendFrame(FrameVerb::kPing, 8, "");
-  ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
-  EXPECT_EQ(id, 8u);
-  EXPECT_EQ(Parse(payload).Find("status")->AsString(), "OK");
+  ASSERT_TRUE(client->SendFrame(FrameVerb::kPing, 8, "").ok());
+  frame = client->ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->request_id, 8u);
+  EXPECT_EQ(Parse(frame->payload).Find("status")->AsString(), "OK");
 }
 
 TEST_F(EventServerTest, OversizeFrameIsRejectedAndPoisonsTheStream) {
   EventServerOptions options;
   options.max_frame_payload_bytes = 1024;
   StartServer(options);
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // A valid request first, so the poison provably flushes prior work.
-  client.SendFrame(FrameVerb::kPing, 1, "");
-  std::string oversize;
-  AppendFrame(static_cast<uint8_t>(FrameVerb::kMine), 2,
-              std::string(4096, 'x'), &oversize);
-  client.SendRaw(oversize);
+  ASSERT_TRUE(client->SendFrame(FrameVerb::kPing, 1, "").ok());
+  ASSERT_TRUE(
+      client->SendFrame(FrameVerb::kMine, 2, std::string(4096, 'x')).ok());
 
   std::map<uint64_t, std::string> responses;
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
-  while (client.ReadFrame(&verb, &id, &payload)) {
-    responses[id] = payload;
+  for (auto frame = client->ReadFrame(); frame.ok();
+       frame = client->ReadFrame()) {
+    responses[frame->request_id] = frame->payload;
   }
   // The admitted ping answered; the oversize frame rejected by id with a
   // stream-level error (verb 0); then EOF.
@@ -424,14 +336,25 @@ TEST_F(EventServerTest, OversizeFrameIsRejectedAndPoisonsTheStream) {
   ASSERT_EQ(responses.count(2), 1u);
   EXPECT_EQ(Parse(responses[2]).Find("status")->AsString(),
             "InvalidArgument");
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
+
+  // A bad magic poisons the stream before any request id is readable:
+  // the error frame carries verb 0 and id 0, and FrameRoundTrip returns
+  // it instead of waiting forever for a response to its own id.
+  auto torn = Dial(server_->port());
+  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
+  ASSERT_TRUE(torn->Send("REMX").ok());
+  const auto error = torn->FrameRoundTrip(FrameVerb::kPing, "", 3);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(Parse(*error).Find("status")->AsString(), "InvalidArgument");
 }
 
 TEST_F(EventServerTest, OversizeNdjsonLinePoisonsTheConnection) {
   EventServerOptions options;
   options.max_line_bytes = 256;
   StartServer(options);
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // The oversize line arrives complete (newline included) in one burst:
   // the per-line check must reject it even though the leftover tail is
@@ -439,19 +362,19 @@ TEST_F(EventServerTest, OversizeNdjsonLinePoisonsTheConnection) {
   std::string oversize = R"({"op":"ping","pad":")";
   oversize += std::string(512, 'x');
   oversize += "\"}";
-  client.SendLine(oversize);
-  JsonValue error = Parse(client.ReadLine());
+  JsonValue error = Request(*client, oversize);
   EXPECT_EQ(error.Find("status")->AsString(), "InvalidArgument");
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
 }
 
 TEST_F(EventServerTest, UnrecognizedProtocolIsRejected) {
   StartServer();
-  TestClient client(server_->port());
-  client.SendRaw("GET / HTTP/1.1\r\n\r\n");
-  JsonValue error = Parse(client.ReadLine());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Send("GET / HTTP/1.1\r\n\r\n").ok());
+  JsonValue error = Parse(client->ReadLine());
   EXPECT_EQ(error.Find("status")->AsString(), "InvalidArgument");
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
 }
 
 TEST_F(EventServerTest, BackpressureStillDeliversEverything) {
@@ -460,7 +383,8 @@ TEST_F(EventServerTest, BackpressureStillDeliversEverything) {
   // pipelines without reading.
   options.max_write_buffer_bytes = 512;
   StartServer(options);
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   const int kRequests = 64;
   std::string wire;
@@ -472,15 +396,13 @@ TEST_F(EventServerTest, BackpressureStillDeliversEverything) {
   // Send everything first, read only afterwards: responses far exceed
   // the write budget, so the server must pause reads and resume as the
   // client drains.
-  std::thread sender([&] { client.SendRaw(wire); });
+  std::thread sender([&] { EXPECT_TRUE(client->Send(wire).ok()); });
   std::map<uint64_t, std::string> responses;
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
   while (responses.size() < static_cast<size_t>(kRequests)) {
-    ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
-    EXPECT_EQ(responses.count(id), 0u);
-    responses[id] = payload;
+    auto frame = client->ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(responses.count(frame->request_id), 0u);
+    responses[frame->request_id] = frame->payload;
   }
   sender.join();
   for (const auto& [response_id, doc] : responses) {
@@ -546,10 +468,12 @@ TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
       std::string(R"({"op":"summarize","entity":"Berlin","k":3})") + "\n";
   HoldLoopAfterBytes hold(frames.size() + line.size());
   io::ScopedHooks scoped(&hold);
-  TestClient binary(server_->port());
-  TestClient ndjson(server_->port());
-  binary.SendRaw(frames);
-  ndjson.SendRaw(line);
+  auto binary = Dial(server_->port());
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  auto ndjson = Dial(server_->port());
+  ASSERT_TRUE(ndjson.ok()) << ndjson.status().ToString();
+  ASSERT_TRUE(binary->Send(frames).ok());
+  ASSERT_TRUE(ndjson->Send(line).ok());
 
   // The server has read every byte; frames 1..3 wait behind frame 0.
   // Drain() raises its flag at once; the loop resumes well after that,
@@ -563,23 +487,21 @@ TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
 
   // Every received request's response must still arrive, then EOF.
   std::map<uint64_t, std::string> responses;
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
-  while (responses.size() < static_cast<size_t>(kFrames) &&
-         binary.ReadFrame(&verb, &id, &payload)) {
-    responses[id] = payload;
+  while (responses.size() < static_cast<size_t>(kFrames)) {
+    auto frame = binary->ReadFrame();
+    if (!frame.ok()) break;
+    responses[frame->request_id] = frame->payload;
   }
   EXPECT_EQ(responses.size(), static_cast<size_t>(kFrames));
   for (const auto& [response_id, doc] : responses) {
     EXPECT_EQ(Parse(doc).Find("status")->AsString(), "OK")
         << "id " << response_id;
   }
-  EXPECT_TRUE(binary.AtEof());
+  EXPECT_TRUE(binary->AtEof());
 
-  JsonValue summary = Parse(ndjson.ReadLine());
+  JsonValue summary = Parse(ndjson->ReadLine());
   EXPECT_EQ(summary.Find("status")->AsString(), "OK");
-  EXPECT_TRUE(ndjson.AtEof());
+  EXPECT_TRUE(ndjson->AtEof());
 
   drainer.join();
   server_.reset();  // already stopped by Drain
@@ -587,17 +509,17 @@ TEST_F(EventServerTest, DrainUnderLoadFlushesAdmittedRequests) {
 
 TEST_F(EventServerTest, CountersVerbExportsServiceCounters) {
   StartServer();
-  TestClient client(server_->port());
-  client.SendFrame(FrameVerb::kMine, 1, R"({"targets":["Berlin"]})");
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
-  ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(
+      client->SendFrame(FrameVerb::kMine, 1, R"({"targets":["Berlin"]})").ok());
+  ASSERT_TRUE(client->ReadFrame().ok());
 
-  client.SendFrame(FrameVerb::kCounters, 2, "");
-  ASSERT_TRUE(client.ReadFrame(&verb, &id, &payload));
-  EXPECT_EQ(id, 2u);
-  JsonValue counters = Parse(payload);
+  ASSERT_TRUE(client->SendFrame(FrameVerb::kCounters, 2, "").ok());
+  auto frame = client->ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->request_id, 2u);
+  JsonValue counters = Parse(frame->payload);
   EXPECT_EQ(counters.Find("status")->AsString(), "OK");
   EXPECT_GE(counters.Find("admitted")->AsNumber(), 1.0);
   EXPECT_GE(counters.Find("completed_ok")->AsNumber(), 1.0);
@@ -610,20 +532,19 @@ TEST_F(EventServerTest, CountersVerbExportsServiceCounters) {
 
 TEST_F(EventServerTest, EofWithPipelinedRequestsStillAnswersThem) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
   std::string wire;
   for (uint64_t id = 1; id <= 4; ++id) {
     AppendFrame(static_cast<uint8_t>(FrameVerb::kPing), id, "", &wire);
   }
-  client.SendRaw(wire);
-  client.ShutdownWrite();  // half-close: EOF after the pipelined bytes
+  ASSERT_TRUE(client->Send(wire).ok());
+  client->ShutdownWrite();  // half-close: EOF after the pipelined bytes
 
   std::map<uint64_t, std::string> responses;
-  uint8_t verb = 0;
-  uint64_t id = 0;
-  std::string payload;
-  while (client.ReadFrame(&verb, &id, &payload)) {
-    responses[id] = payload;
+  for (auto frame = client->ReadFrame(); frame.ok();
+       frame = client->ReadFrame()) {
+    responses[frame->request_id] = frame->payload;
   }
   EXPECT_EQ(responses.size(), 4u);
 }
@@ -634,13 +555,14 @@ TEST_F(EventServerTest, SlowLorisPartialRequestIsReapedOnIdleTimeout) {
   EventServerOptions options;
   options.idle_timeout_ms = 120;
   StartServer(options);
-  TestClient loris(server_->port());
+  auto loris = Dial(server_->port());
+  ASSERT_TRUE(loris.ok()) << loris.status().ToString();
   // A torn NDJSON request that never completes: no newline, then
   // silence. Without the idle timeout this connection lives forever.
-  loris.SendRaw(R"({"op":"pi)");
+  ASSERT_TRUE(loris->Send(R"({"op":"pi)").ok());
 
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(loris.AtEof());  // blocks until the server reaps us
+  EXPECT_TRUE(loris->AtEof());  // blocks until the server reaps us
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::seconds(5)) << "reap took too long";
   EXPECT_EQ(service_->counters().connections_reaped_idle, 1u);
@@ -652,45 +574,50 @@ TEST_F(EventServerTest, SlowLorisReapLeavesHealthyPeersUnaffected) {
   EventServerOptions options;
   options.idle_timeout_ms = 100;
   StartServer(options);
-  TestClient loris(server_->port());
-  loris.SendRaw("R");  // a torn binary frame header, then silence
+  auto loris = Dial(server_->port());
+  ASSERT_TRUE(loris.ok()) << loris.status().ToString();
+  // A torn binary frame header, then silence.
+  ASSERT_TRUE(loris->Send("R").ok());
 
   // A healthy peer keeps round-tripping the whole time the loris ages
   // out; every request must answer promptly (its activity clock resets
   // per round trip, so it is never reaped).
-  TestClient healthy(server_->port());
+  auto healthy = Dial(server_->port());
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   std::atomic<bool> loris_gone{false};
   std::thread watcher([&] {
-    loris_gone.store(loris.AtEof());
+    loris_gone.store(loris->AtEof());
   });
   for (int i = 0; i < 20; ++i) {
-    healthy.SendLine(R"({"op":"ping"})");
-    EXPECT_EQ(Parse(healthy.ReadLine()).Find("status")->AsString(), "OK");
+    EXPECT_EQ(Request(*healthy, R"({"op":"ping"})").Find("status")->AsString(),
+              "OK");
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   watcher.join();
   EXPECT_TRUE(loris_gone.load());
   EXPECT_GE(service_->counters().connections_reaped_idle, 1u);
   // The healthy connection survived the sweep.
-  healthy.SendLine(R"({"op":"ping"})");
-  EXPECT_EQ(Parse(healthy.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Request(*healthy, R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
 }
 
 TEST_F(EventServerTest, HandshakeTimeoutReapsProtocollessConnections) {
   EventServerOptions options;
   options.handshake_timeout_ms = 100;
   StartServer(options);
-  TestClient mute(server_->port());  // connects, never sends a byte
-  EXPECT_TRUE(mute.AtEof());
+  auto mute = Dial(server_->port());  // connects, never sends a byte
+  ASSERT_TRUE(mute.ok()) << mute.status().ToString();
+  EXPECT_TRUE(mute->AtEof());
   EXPECT_EQ(service_->counters().connections_reaped_idle, 1u);
 
   // A connection that *did* finish the protocol sniff is exempt.
-  TestClient talker(server_->port());
-  talker.SendLine(R"({"op":"ping"})");
-  EXPECT_EQ(Parse(talker.ReadLine()).Find("status")->AsString(), "OK");
+  auto talker = Dial(server_->port());
+  ASSERT_TRUE(talker.ok()) << talker.status().ToString();
+  EXPECT_EQ(Request(*talker, R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  talker.SendLine(R"({"op":"ping"})");
-  EXPECT_EQ(Parse(talker.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Request(*talker, R"({"op":"ping"})").Find("status")->AsString(),
+            "OK");
 }
 
 namespace {
@@ -717,11 +644,12 @@ TEST_F(EventServerTest, WriteStallReapsAPeerThatStopsReading) {
   BlockSends block;
   io::ScopedHooks scoped(&block);
 
-  TestClient client(server_->port());
-  client.SendLine(R"({"op":"ping"})");
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->SendLine(R"({"op":"ping"})").ok());
   // The response is computed but no byte of it ever leaves the write
   // buffer; after 150ms of zero progress the connection is reaped.
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
   EXPECT_EQ(service_->counters().connections_reaped_write_stall, 1u);
   EXPECT_EQ(service_->counters().connections_reaped_idle, 0u);
   ExpectConnectionsDrain();
@@ -738,13 +666,14 @@ class LineServerTest : public EventServerTest {};
 
 TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+  EXPECT_EQ(Request(*client, R"({"op":"ping"})").Find("status")->AsString(),
             "OK");
 
-  JsonValue mine =
-      client.Request(R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
+  JsonValue mine = Request(
+      *client, R"({"op":"mine","targets":["Berlin"],"verbalize":true})");
   EXPECT_EQ(mine.Find("status")->AsString(), "OK");
   EXPECT_TRUE(mine.Find("found")->AsBool());
   EXPECT_FALSE(mine.Find("expression")->AsString().empty());
@@ -752,22 +681,22 @@ TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
   EXPECT_GT(mine.Find("cost")->AsNumber(), 0.0);
 
   JsonValue summary =
-      client.Request(R"({"op":"summarize","entity":"Berlin","k":3})");
+      Request(*client, R"({"op":"summarize","entity":"Berlin","k":3})");
   EXPECT_EQ(summary.Find("status")->AsString(), "OK");
   EXPECT_EQ(summary.Find("entity")->AsString(), "Berlin");
   EXPECT_GT(summary.Find("items")->items().size(), 0u);
 
-  JsonValue batch = client.Request(
-      R"({"op":"batch_mine","target_sets":[["Berlin"],["Hamburg"]]})");
+  JsonValue batch = Request(
+      *client, R"({"op":"batch_mine","target_sets":[["Berlin"],["Hamburg"]]})");
   EXPECT_EQ(batch.Find("status")->AsString(), "OK");
   EXPECT_EQ(batch.Find("results")->items().size(), 2u);
 
-  JsonValue candidates = client.Request(
-      R"({"op":"candidates","targets":["Berlin"],"limit":3})");
+  JsonValue candidates = Request(
+      *client, R"({"op":"candidates","targets":["Berlin"],"limit":3})");
   EXPECT_EQ(candidates.Find("status")->AsString(), "OK");
   EXPECT_EQ(candidates.Find("candidates")->items().size(), 3u);
 
-  JsonValue stats = client.Request(R"({"op":"stats"})");
+  JsonValue stats = Request(*client, R"({"op":"stats"})");
   EXPECT_EQ(stats.Find("status")->AsString(), "OK");
   // ping/stats/candidates bypass admission; the mine, the summarize and
   // the batch were admitted.
@@ -777,39 +706,43 @@ TEST_F(LineServerTest, PingMineSummarizeStatsOverOneConnection) {
 
 TEST_F(LineServerTest, ServesConcurrentConnections) {
   StartServer();
-  TestClient a(server_->port());
-  TestClient b(server_->port());
+  auto a = Dial(server_->port());
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = Dial(server_->port());
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
   // Both requests are on the wire before either response is read.
-  a.SendLine(R"({"op":"mine","targets":["Berlin"]})");
-  b.SendLine(R"({"op":"mine","targets":["Hamburg"]})");
-  EXPECT_EQ(Parse(b.ReadLine()).Find("status")->AsString(), "OK");
-  EXPECT_EQ(Parse(a.ReadLine()).Find("status")->AsString(), "OK");
+  ASSERT_TRUE(a->SendLine(R"({"op":"mine","targets":["Berlin"]})").ok());
+  ASSERT_TRUE(b->SendLine(R"({"op":"mine","targets":["Hamburg"]})").ok());
+  EXPECT_EQ(Parse(b->ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Parse(a->ReadLine()).Find("status")->AsString(), "OK");
 }
 
 TEST_F(LineServerTest, ErrorsAreInBandAndConnectionSurvives) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  EXPECT_EQ(client.Request("{not json").Find("status")->AsString(),
+  EXPECT_EQ(Request(*client, "{not json").Find("status")->AsString(),
             "ParseError");
-  EXPECT_EQ(client.Request(R"({"op":"fly"})").Find("status")->AsString(),
+  EXPECT_EQ(Request(*client, R"({"op":"fly"})").Find("status")->AsString(),
             "InvalidArgument");
-  EXPECT_EQ(client.Request(R"({"op":"mine","targets":["Atlantis"]})")
+  EXPECT_EQ(Request(*client, R"({"op":"mine","targets":["Atlantis"]})")
                 .Find("status")
                 ->AsString(),
             "NotFound");
 
   // The connection still answers after three error responses.
-  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+  EXPECT_EQ(Request(*client, R"({"op":"ping"})").Find("status")->AsString(),
             "OK");
 }
 
 TEST_F(LineServerTest, DeadlineTravelsOverTheWire) {
   StartServer();
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
   // deadline_ms of 0.000001 (sub-microsecond) expires before mining.
-  JsonValue response = client.Request(
-      R"({"op":"mine","targets":["Berlin"],"deadline_ms":0.000001})");
+  JsonValue response = Request(
+      *client, R"({"op":"mine","targets":["Berlin"],"deadline_ms":0.000001})");
   EXPECT_EQ(response.Find("status")->AsString(), "DeadlineExceeded");
 }
 
@@ -817,7 +750,8 @@ TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
   EventServerOptions options;
   options.max_line_bytes = 128;
   StartServer(options);
-  TestClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // A valid line ahead of the oversize one is still answered; the
   // oversize line (newline included, so a complete line) is rejected and
@@ -825,33 +759,38 @@ TEST_F(LineServerTest, OversizeCompleteLinePoisonsTheConnection) {
   std::string oversize = R"({"op":"ping","pad":")";
   oversize += std::string(512, 'x');
   oversize += "\"}";
-  client.SendRaw(std::string(R"({"op":"ping"})") + "\n" + oversize + "\n");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(),
+  ASSERT_TRUE(
+      client->Send(std::string(R"({"op":"ping"})") + "\n" + oversize + "\n")
+          .ok());
+  EXPECT_EQ(Parse(client->ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(Parse(client->ReadLine()).Find("status")->AsString(),
             "InvalidArgument");
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_TRUE(client->AtEof());
 }
 
 TEST_F(LineServerTest, DrainFlushesBufferedResponsesThenCloses) {
   StartServer();
-  TestClient client(server_->port());
-  EXPECT_EQ(client.Request(R"({"op":"ping"})").Find("status")->AsString(),
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(Request(*client, R"({"op":"ping"})").Find("status")->AsString(),
             "OK");
 
   // A request already admitted when Drain() starts must still be
   // answered; afterwards the server closes its end and refuses new
   // connections.
-  client.SendLine(R"({"op":"mine","targets":["Berlin"]})");
+  ASSERT_TRUE(client->SendLine(R"({"op":"mine","targets":["Berlin"]})").ok());
   while (service_->counters().admitted < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(server_->Drain(/*grace_seconds=*/10.0));
 
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
-  EXPECT_TRUE(client.AtEof());
+  EXPECT_EQ(Parse(client->ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_TRUE(client->AtEof());
 
-  TestClient late(server_->port(), /*expect_connect=*/false);
-  EXPECT_FALSE(late.connected());
+  // The listener is closed: connecting is an IoError.
+  const auto late = WireClient::Connect("127.0.0.1", server_->port());
+  EXPECT_FALSE(late.ok());
+  EXPECT_TRUE(late.status().IsIoError()) << late.status().ToString();
   server_.reset();  // already stopped by Drain
 }
 

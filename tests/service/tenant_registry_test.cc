@@ -10,11 +10,6 @@
 // reload-fault-injection job (filter ReloadFault*): detach must drain —
 // a pinned epoch is never torn down while a request holds it.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +26,9 @@
 #include "service/json_codec.h"
 #include "service/service.h"
 #include "service/tenant_registry.h"
+#include "service/wire_client.h"
 #include "util/json.h"
+#include "wire_test_util.h"
 
 #ifndef REMI_TESTDATA_DIR
 #define REMI_TESTDATA_DIR "tests/data"
@@ -418,78 +415,6 @@ TEST(TenantRegistryTest, CountersReconcileAcrossTenantsAtQuiescence) {
 
 // --- wire protocols ---------------------------------------------------------
 
-/// A blocking client over one TCP connection, usable for both wire modes
-/// (same shape as event_server_test.cc's client).
-class WireClient {
- public:
-  explicit WireClient(int port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-              0);
-  }
-  ~WireClient() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  void SendRaw(std::string_view data) {
-    size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n =
-          send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  void SendLine(const std::string& request) { SendRaw(request + "\n"); }
-
-  void SendFrame(FrameVerb verb, uint64_t request_id,
-                 const std::string& payload) {
-    std::string wire;
-    AppendFrame(static_cast<uint8_t>(verb), request_id, payload, &wire);
-    SendRaw(wire);
-  }
-
-  std::string ReadLine() {
-    std::string line;
-    char c = 0;
-    while (recv(fd_, &c, 1, 0) == 1) {
-      if (c == '\n') return line;
-      line.push_back(c);
-    }
-    ADD_FAILURE() << "connection closed before a full response line";
-    return line;
-  }
-
-  bool ReadFrame(uint8_t* verb, uint64_t* request_id, std::string* payload) {
-    char chunk[4096];
-    for (;;) {
-      FrameView frame;
-      const auto result = decoder_.Next(&frame);
-      if (result == FrameDecoder::Result::kFrame) {
-        *verb = frame.verb;
-        *request_id = frame.request_id;
-        payload->assign(frame.payload.data(), frame.payload.size());
-        return true;
-      }
-      if (result == FrameDecoder::Result::kError) return false;
-      const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      decoder_.Feed(std::string_view(chunk, static_cast<size_t>(n)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  FrameDecoder decoder_{64u << 20};
-};
-
 class TenantRegistryWireTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -508,24 +433,21 @@ class TenantRegistryWireTest : public ::testing::Test {
     if (server_ != nullptr) server_->Stop();
   }
 
-  JsonValue Parse(const std::string& doc) {
-    auto parsed = ParseJson(doc);
-    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << doc;
-    return parsed.ok() ? *parsed : JsonValue();
+  /// The "status" of the response to one NDJSON request.
+  std::string StatusOf(WireClient& client, const std::string& request) {
+    return Parse(client.LineRoundTrip(request)).Find("status")->AsString();
   }
 
   /// One frame round trip (requests and responses matched by id here,
   /// so a fixed id per call is fine on a fresh client).
-  std::string Frame(WireClient* client, FrameVerb verb,
+  std::string Frame(WireClient& client, FrameVerb verb,
                     const std::string& payload, uint64_t id = 1) {
-    client->SendFrame(verb, id, payload);
-    uint8_t response_verb = 0;
-    uint64_t response_id = 0;
-    std::string response;
-    EXPECT_TRUE(
-        client->ReadFrame(&response_verb, &response_id, &response));
-    EXPECT_EQ(response_id, id);
-    return response;
+    EXPECT_TRUE(client.SendFrame(verb, id, payload).ok());
+    auto response = client.ReadFrame();
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return "";
+    EXPECT_EQ(response->request_id, id);
+    return response->payload;
   }
 
   std::unique_ptr<Service> service_;
@@ -534,93 +456,96 @@ class TenantRegistryWireTest : public ::testing::Test {
 
 TEST_F(TenantRegistryWireTest, UnknownKbIsNotFoundInBandOnBothProtocols) {
   // NDJSON: the error is a response, not a dropped connection.
-  WireClient ndjson(server_->port());
-  ndjson.SendLine(R"({"op":"mine","kb":"ghost","targets":["Berlin"]})");
-  JsonValue line = Parse(ndjson.ReadLine());
+  auto ndjson = Dial(server_->port());
+  ASSERT_TRUE(ndjson.ok()) << ndjson.status().ToString();
+  JsonValue line = Parse(ndjson->LineRoundTrip(
+      R"({"op":"mine","kb":"ghost","targets":["Berlin"]})"));
   EXPECT_EQ(line.Find("status")->AsString(), "NotFound");
-  ndjson.SendLine(R"({"op":"ping"})");
-  EXPECT_EQ(Parse(ndjson.ReadLine()).Find("status")->AsString(), "OK");
+  EXPECT_EQ(StatusOf(*ndjson, R"({"op":"ping"})"), "OK");
 
   // Binary: same in-band contract, connection survives.
-  WireClient binary(server_->port());
+  auto binary = Dial(server_->port());
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
   JsonValue frame = Parse(Frame(
-      &binary, FrameVerb::kMine,
+      *binary, FrameVerb::kMine,
       R"({"kb":"ghost","targets":["Berlin"]})", 7));
   EXPECT_EQ(frame.Find("status")->AsString(), "NotFound");
-  EXPECT_EQ(Parse(Frame(&binary, FrameVerb::kPing, "{}", 8))
+  EXPECT_EQ(Parse(Frame(*binary, FrameVerb::kPing, "{}", 8))
                 .Find("status")
                 ->AsString(),
             "OK");
 }
 
 TEST_F(TenantRegistryWireTest, PerRequestKbRoutesBothProtocols) {
-  WireClient ndjson(server_->port());
-  ndjson.SendLine(
-      R"({"op":"mine","kb":"alt","targets":["http://ex/alt/Entity3"]})");
-  JsonValue line = Parse(ndjson.ReadLine());
+  auto ndjson = Dial(server_->port());
+  ASSERT_TRUE(ndjson.ok()) << ndjson.status().ToString();
+  JsonValue line = Parse(ndjson->LineRoundTrip(
+      R"({"op":"mine","kb":"alt","targets":["http://ex/alt/Entity3"]})"));
   EXPECT_EQ(line.Find("status")->AsString(), "OK");
   EXPECT_TRUE(line.Find("found")->AsBool());
 
-  WireClient binary(server_->port());
+  auto binary = Dial(server_->port());
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
   JsonValue frame = Parse(Frame(
-      &binary, FrameVerb::kMine,
+      *binary, FrameVerb::kMine,
       R"({"kb":"alt","targets":["http://ex/alt/Entity3"]})"));
   EXPECT_EQ(frame.Find("status")->AsString(), "OK");
   EXPECT_TRUE(frame.Find("found")->AsBool());
 
   // Per-tenant stats slice via the "kb" field.
   JsonValue slice =
-      Parse(Frame(&binary, FrameVerb::kCounters, R"({"kb":"alt"})", 2));
+      Parse(Frame(*binary, FrameVerb::kCounters, R"({"kb":"alt"})", 2));
   EXPECT_EQ(slice.Find("kb")->AsString(), "alt");
   EXPECT_EQ(slice.Find("admitted")->AsNumber(), 2.0);
   // The service-wide document carries the registry gauges + breakdown.
-  JsonValue global = Parse(Frame(&binary, FrameVerb::kCounters, "{}", 3));
+  JsonValue global = Parse(Frame(*binary, FrameVerb::kCounters, "{}", 3));
   EXPECT_EQ(global.Find("tenants_active")->AsNumber(), 2.0);
   ASSERT_NE(global.Find("tenants"), nullptr);
   EXPECT_NE(global.Find("tenants")->Find("alt"), nullptr);
 }
 
 TEST_F(TenantRegistryWireTest, UseKbHandshakeSetsTheConnectionDefault) {
-  WireClient client(server_->port());
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
   JsonValue ok =
-      Parse(Frame(&client, FrameVerb::kUseKb, R"({"kb":"alt"})", 1));
+      Parse(Frame(*client, FrameVerb::kUseKb, R"({"kb":"alt"})", 1));
   EXPECT_EQ(ok.Find("status")->AsString(), "OK");
   EXPECT_EQ(ok.Find("kb")->AsString(), "alt");
 
   // Frames without a "kb" now serve from "alt".
   JsonValue mined = Parse(Frame(
-      &client, FrameVerb::kMine, R"({"targets":["http://ex/alt/Entity3"]})",
+      *client, FrameVerb::kMine, R"({"targets":["http://ex/alt/Entity3"]})",
       2));
   EXPECT_EQ(mined.Find("status")->AsString(), "OK");
   EXPECT_TRUE(mined.Find("found")->AsBool());
-  JsonValue stats = Parse(Frame(&client, FrameVerb::kCounters, "{}", 3));
+  JsonValue stats = Parse(Frame(*client, FrameVerb::kCounters, "{}", 3));
   EXPECT_EQ(stats.Find("kb")->AsString(), "alt");
 
   // An explicit "kb" — including "" — overrides the handshake default.
   JsonValue overridden = Parse(Frame(
-      &client, FrameVerb::kMine, R"({"kb":"","targets":["Berlin"]})", 4));
+      *client, FrameVerb::kMine, R"({"kb":"","targets":["Berlin"]})", 4));
   EXPECT_EQ(overridden.Find("status")->AsString(), "OK");
 
   // A failed handshake leaves the previous default in place.
   JsonValue bad =
-      Parse(Frame(&client, FrameVerb::kUseKb, R"({"kb":"ghost"})", 5));
+      Parse(Frame(*client, FrameVerb::kUseKb, R"({"kb":"ghost"})", 5));
   EXPECT_EQ(bad.Find("status")->AsString(), "NotFound");
-  EXPECT_EQ(Parse(Frame(&client, FrameVerb::kCounters, "{}", 6))
+  EXPECT_EQ(Parse(Frame(*client, FrameVerb::kCounters, "{}", 6))
                 .Find("kb")
                 ->AsString(),
             "alt");
 
   // use_kb {""} resets to the default tenant (service-wide stats again).
-  Parse(Frame(&client, FrameVerb::kUseKb, R"({"kb":""})", 7));
-  JsonValue global = Parse(Frame(&client, FrameVerb::kCounters, "{}", 8));
+  Parse(Frame(*client, FrameVerb::kUseKb, R"({"kb":""})", 7));
+  JsonValue global = Parse(Frame(*client, FrameVerb::kCounters, "{}", 8));
   EXPECT_EQ(global.Find("kb"), nullptr);
   EXPECT_NE(global.Find("tenants_active"), nullptr);
 
   // NDJSON has no handshake: the op is rejected with a pointer to the
   // per-request field.
-  WireClient ndjson(server_->port());
-  ndjson.SendLine(R"({"op":"use_kb","kb":"alt"})");
-  EXPECT_EQ(Parse(ndjson.ReadLine()).Find("status")->AsString(),
+  auto ndjson = Dial(server_->port());
+  ASSERT_TRUE(ndjson.ok()) << ndjson.status().ToString();
+  EXPECT_EQ(StatusOf(*ndjson, R"({"op":"use_kb","kb":"alt"})"),
             "InvalidArgument");
 }
 
@@ -628,13 +553,13 @@ TEST_F(TenantRegistryWireTest, AdminVerbsAttachListDetach) {
   const std::string path = ::testing::TempDir() + "/tenant_wire_w.rkf2";
   WriteFile(path, BuildTaggedKb("w").SerializeSnapshot());
 
-  WireClient client(server_->port());
-  client.SendLine(std::string("{\"op\":\"attach\",\"kb\":\"w\",\"path\":\"") +
-                  path + "\",\"max_in_flight\":2}");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::string attach_w =
+      "{\"op\":\"attach\",\"kb\":\"w\",\"path\":\"" + path + "\"";
+  EXPECT_EQ(StatusOf(*client, attach_w + ",\"max_in_flight\":2}"), "OK");
 
-  client.SendLine(R"({"op":"list_kbs"})");
-  JsonValue listed = Parse(client.ReadLine());
+  JsonValue listed = Parse(client->LineRoundTrip(R"({"op":"list_kbs"})"));
   ASSERT_NE(listed.Find("kbs"), nullptr);
   size_t found_w = 0;
   for (const JsonValue& item : listed.Find("kbs")->items()) {
@@ -646,28 +571,20 @@ TEST_F(TenantRegistryWireTest, AdminVerbsAttachListDetach) {
   }
   EXPECT_EQ(found_w, 1u);
 
-  client.SendLine(
-      R"({"op":"mine","kb":"w","targets":["http://ex/w/Entity5"]})");
-  EXPECT_TRUE(Parse(client.ReadLine()).Find("found")->AsBool());
+  const std::string mine_w =
+      R"({"op":"mine","kb":"w","targets":["http://ex/w/Entity5"]})";
+  EXPECT_TRUE(Parse(client->LineRoundTrip(mine_w)).Find("found")->AsBool());
 
   // Error taxonomy over the wire: duplicate attach, reserved name,
   // unknown detach.
-  client.SendLine(std::string("{\"op\":\"attach\",\"kb\":\"w\",\"path\":\"") +
-                  path + "\"}");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(),
-            "AlreadyExists");
-  client.SendLine(std::string("{\"op\":\"attach\",\"kb\":\"\",\"path\":\"") +
-                  path + "\"}");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(),
+  EXPECT_EQ(StatusOf(*client, attach_w + "}"), "AlreadyExists");
+  EXPECT_EQ(StatusOf(*client, "{\"op\":\"attach\",\"kb\":\"\",\"path\":\"" +
+                                  path + "\"}"),
             "InvalidArgument");
-  client.SendLine(R"({"op":"detach","kb":"ghost"})");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "NotFound");
+  EXPECT_EQ(StatusOf(*client, R"({"op":"detach","kb":"ghost"})"), "NotFound");
 
-  client.SendLine(R"({"op":"detach","kb":"w"})");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "OK");
-  client.SendLine(
-      R"({"op":"mine","kb":"w","targets":["http://ex/w/Entity5"]})");
-  EXPECT_EQ(Parse(client.ReadLine()).Find("status")->AsString(), "NotFound");
+  EXPECT_EQ(StatusOf(*client, R"({"op":"detach","kb":"w"})"), "OK");
+  EXPECT_EQ(StatusOf(*client, mine_w), "NotFound");
 }
 
 // --- cross-tenant fault/drain harness (CI: reload-fault-injection job) ------

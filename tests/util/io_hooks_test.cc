@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace remi {
@@ -33,31 +36,64 @@ struct SocketPair {
 TEST(IoHooksTest, DefaultTableIsPassthrough) {
   SocketPair pair;
   const char msg[] = "hello";
-  ASSERT_EQ(Hooks().Send(pair.fds[0], msg, sizeof(msg), 0),
+  ASSERT_EQ(Hooks()->Send(pair.fds[0], msg, sizeof(msg), 0),
             static_cast<ssize_t>(sizeof(msg)));
   char buf[16] = {};
-  ASSERT_EQ(Hooks().Recv(pair.fds[1], buf, sizeof(buf), 0),
+  ASSERT_EQ(Hooks()->Recv(pair.fds[1], buf, sizeof(buf), 0),
             static_cast<ssize_t>(sizeof(msg)));
   EXPECT_STREQ(buf, "hello");
 }
 
 TEST(IoHooksTest, ScopedHooksInstallsAndRestores) {
   FaultInjector injector{FaultProfile{}};
-  EXPECT_EQ(&Hooks(), &Hooks());  // stable pass-through
+  EXPECT_EQ(Hooks().get(), Hooks().get());  // stable pass-through
   IoHooks* before = SetHooks(nullptr);
   EXPECT_EQ(before, nullptr);
   {
     ScopedHooks scoped(&injector);
-    EXPECT_EQ(&Hooks(), &injector);
+    EXPECT_EQ(Hooks().get(), &injector);
     {
       // Nested installs restore the *outer* injector, not pass-through.
       FaultInjector inner{FaultProfile{}};
       ScopedHooks nested(&inner);
-      EXPECT_EQ(&Hooks(), &inner);
+      EXPECT_EQ(Hooks().get(), &inner);
     }
-    EXPECT_EQ(&Hooks(), &injector);
+    EXPECT_EQ(Hooks().get(), &injector);
   }
-  EXPECT_NE(&Hooks(), &injector);
+  EXPECT_NE(Hooks().get(), &injector);
+}
+
+/// A Recv that stays in flight for 50 ms.
+class SlowRecv : public IoHooks {
+ public:
+  ssize_t Recv(int fd, void* buf, size_t len, int flags) override {
+    entered.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    left.store(true);
+    return IoHooks::Recv(fd, buf, len, flags);
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> left{false};
+};
+
+TEST(IoHooksTest, UninstallWaitsForCallsInFlight) {
+  SocketPair pair;
+  ASSERT_EQ(::send(pair.fds[0], "x", 1, 0), 1);
+  SlowRecv slow;
+  IoHooks* previous = SetHooks(&slow);
+  std::thread caller([&] {
+    char c = 0;
+    EXPECT_EQ(Hooks()->Recv(pair.fds[1], &c, 1, 0), 1);
+  });
+  while (!slow.entered.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  SetHooks(previous);
+  // The uninstall returned only after the call left `slow`, so `slow`
+  // could be destroyed here.
+  EXPECT_TRUE(slow.left.load());
+  caller.join();
 }
 
 TEST(IoHooksTest, ZeroProfileInjectsNothing) {
@@ -93,7 +129,7 @@ TEST(IoHooksTest, SingleThreadedReplayIsExact) {
       outcomes.push_back(n < 0 && errno == EINTR);
       if (n < 0) continue;
       char c;
-      EXPECT_EQ(Hooks().Recv(pair.fds[1], &c, 1, 0), 1);
+      EXPECT_EQ(Hooks()->Recv(pair.fds[1], &c, 1, 0), 1);
     }
     return outcomes;
   };
@@ -142,7 +178,7 @@ TEST(IoHooksTest, ShortWritesTransferAPrefix) {
   ASSERT_GT(n, 0);
   EXPECT_LT(static_cast<size_t>(n), msg.size());
   char buf[64];
-  EXPECT_EQ(Hooks().Recv(pair.fds[1], buf, sizeof(buf), 0), n);
+  EXPECT_EQ(Hooks()->Recv(pair.fds[1], buf, sizeof(buf), 0), n);
 }
 
 TEST(IoHooksTest, ShortReadsDeliverOneByte) {
@@ -151,7 +187,7 @@ TEST(IoHooksTest, ShortReadsDeliverOneByte) {
   FaultInjector injector(profile);
   SocketPair pair;
   const std::string msg(16, 'b');
-  ASSERT_EQ(Hooks().Send(pair.fds[0], msg.data(), msg.size(), 0),
+  ASSERT_EQ(Hooks()->Send(pair.fds[0], msg.data(), msg.size(), 0),
             static_cast<ssize_t>(msg.size()));
   char buf[16];
   EXPECT_EQ(injector.Recv(pair.fds[1], buf, sizeof(buf), 0), 1);

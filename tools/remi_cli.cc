@@ -37,16 +37,10 @@
 // shared pool. --timeout sets the per-request deadline: an expired
 // request reports "timed out" instead of running unbounded.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -56,6 +50,7 @@
 #include "rdf/rkf.h"
 #include "service/frame_codec.h"
 #include "service/service.h"
+#include "service/wire_client.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -360,125 +355,14 @@ int CmdSummarize(const std::string& path, const remi::Flags& flags) {
   return 0;
 }
 
-/// Blocking TCP connect; the caller owns (and closes) the fd.
-Result<int> ConnectTo(const std::string& host, int port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host address '" + host + "'");
-  }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    const Status status = Status::IoError(
-        "connect " + host + ":" + std::to_string(port) + ": " +
-        std::strerror(errno));
-    close(fd);
-    return status;
-  }
-  return fd;
-}
-
-/// Full-write loop; MSG_NOSIGNAL so a server that died mid-send surfaces
-/// as EPIPE, not a fatal SIGPIPE.
-Status SendAllTo(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// One blocking line-protocol round trip against a running remi_server:
-/// connect, send `request` + '\n', read until the response newline.
-Result<std::string> LineRoundTrip(const std::string& host, int port,
-                                  const std::string& request) {
-  auto fd = ConnectTo(host, port);
-  if (!fd.ok()) return fd.status();
-  if (auto status = SendAllTo(*fd, request + "\n"); !status.ok()) {
-    close(*fd);
-    return status;
-  }
-  std::string response;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = recv(*fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    response.append(chunk, static_cast<size_t>(n));
-    const size_t newline = response.find('\n');
-    if (newline != std::string::npos) {
-      close(*fd);
-      return response.substr(0, newline);
-    }
-  }
-  close(*fd);
-  return Status::IoError("connection closed before a response line");
-}
-
-/// One binary-frame round trip: connect, send `payload` under `verb`,
-/// decode response frames until ours (matched by request id) arrives, and
-/// return its payload — the same JSON document the NDJSON protocol would
-/// produce.
-Result<std::string> FrameRoundTrip(const std::string& host, int port,
-                                   remi::FrameVerb verb,
-                                   const std::string& payload) {
-  auto fd = ConnectTo(host, port);
-  if (!fd.ok()) return fd.status();
-  constexpr uint64_t kRequestId = 1;
-  std::string wire;
-  remi::AppendFrame(static_cast<uint8_t>(verb), kRequestId, payload, &wire);
-  if (auto status = SendAllTo(*fd, wire); !status.ok()) {
-    close(*fd);
-    return status;
-  }
-  remi::FrameDecoder decoder(/*max_payload_bytes=*/64u << 20);
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = recv(*fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    decoder.Feed(std::string_view(chunk, static_cast<size_t>(n)));
-    remi::FrameView frame;
-    for (;;) {
-      const auto result = decoder.Next(&frame);
-      if (result == remi::FrameDecoder::Result::kNeedMore) break;
-      if (result == remi::FrameDecoder::Result::kError) {
-        close(*fd);
-        return decoder.status();
-      }
-      if (frame.request_id == kRequestId || frame.verb == 0) {
-        // Ours, or a stream-level error frame from the server.
-        const std::string response(frame.payload);
-        close(*fd);
-        return response;
-      }
-    }
-  }
-  close(*fd);
-  return Status::IoError("connection closed before a response frame");
-}
-
-/// Sends one admin request (NDJSON by default, one binary frame with
-/// --binary), prints the server's response document, and maps it to an
+/// Sends one admin request (one NDJSON line, or one binary frame when
+/// `binary`), prints the server's response document, and maps it to an
 /// exit code: 0 when the server reported "status":"OK", 2 otherwise
 /// (fail closed on the client too — e.g. a rejected reload means the
 /// server kept its prior generation; tell the operator via the exit
 /// code).
 int AdminRoundTrip(const remi::Flags& flags, remi::FrameVerb verb,
-                   const remi::JsonValue& request) {
-  const std::string host = flags.GetString("host");
-  const int port = static_cast<int>(flags.GetInt("port"));
+                   const remi::JsonValue& request, bool binary) {
   const int max_retries = static_cast<int>(flags.GetInt("max-retries"));
   // Cheap jitter state: decorrelates concurrent CLI invocations so a
   // fleet of retrying clients doesn't re-converge into one thundering
@@ -488,9 +372,11 @@ int AdminRoundTrip(const remi::Flags& flags, remi::FrameVerb verb,
           std::chrono::steady_clock::now().time_since_epoch().count()) |
       1;
   for (int attempt = 0;; ++attempt) {
-    auto response = flags.GetBool("binary")
-                        ? FrameRoundTrip(host, port, verb, request.Dump())
-                        : LineRoundTrip(host, port, request.Dump());
+    auto client = remi::WireClient::Connect(
+        flags.GetString("host"), static_cast<int>(flags.GetInt("port")));
+    if (!client.ok()) return Fail(client.status());
+    auto response = binary ? client->FrameRoundTrip(verb, request.Dump())
+                           : client->LineRoundTrip(request.Dump());
     if (!response.ok()) return Fail(response.status());
     auto parsed = remi::ParseJson(*response);
     if (!parsed.ok() || !parsed->is_object()) {
@@ -537,7 +423,8 @@ int CmdReload(const std::string& path, const remi::Flags& flags) {
   }
   request.Set("path", remi::JsonValue::String(path));
   request.Set("lenient", remi::JsonValue::Bool(!flags.GetBool("strict")));
-  return AdminRoundTrip(flags, remi::FrameVerb::kReload, request);
+  return AdminRoundTrip(flags, remi::FrameVerb::kReload, request,
+                        flags.GetBool("binary"));
 }
 
 int CmdAttach(const std::string& name, const std::string& path,
@@ -560,20 +447,23 @@ int CmdAttach(const std::string& name, const std::string& path,
                 remi::JsonValue::Number(static_cast<double>(
                     flags.GetInt("kb-max-queued"))));
   }
-  return AdminRoundTrip(flags, remi::FrameVerb::kAttachKb, request);
+  return AdminRoundTrip(flags, remi::FrameVerb::kAttachKb, request,
+                        flags.GetBool("binary"));
 }
 
 int CmdDetach(const std::string& name, const remi::Flags& flags) {
   remi::JsonValue request = remi::JsonValue::Object();
   request.Set("op", remi::JsonValue::String("detach"));
   request.Set("kb", remi::JsonValue::String(name));
-  return AdminRoundTrip(flags, remi::FrameVerb::kDetachKb, request);
+  return AdminRoundTrip(flags, remi::FrameVerb::kDetachKb, request,
+                        flags.GetBool("binary"));
 }
 
 int CmdListKbs(const remi::Flags& flags) {
   remi::JsonValue request = remi::JsonValue::Object();
   request.Set("op", remi::JsonValue::String("list_kbs"));
-  return AdminRoundTrip(flags, remi::FrameVerb::kListKbs, request);
+  return AdminRoundTrip(flags, remi::FrameVerb::kListKbs, request,
+                        flags.GetBool("binary"));
 }
 
 /// Fetches a running server's live ServiceCounters (admission outcomes,
@@ -581,26 +471,12 @@ int CmdListKbs(const remi::Flags& flags) {
 /// with --kb — over the binary frame protocol and prints the JSON
 /// document.
 int CmdCounters(const remi::Flags& flags) {
-  std::string payload = "{}";
+  remi::JsonValue request = remi::JsonValue::Object();
   if (flags.WasSet("kb")) {
-    remi::JsonValue request = remi::JsonValue::Object();
     request.Set("kb", remi::JsonValue::String(flags.GetString("kb")));
-    payload = request.Dump();
   }
-  auto response = FrameRoundTrip(flags.GetString("host"),
-                                 static_cast<int>(flags.GetInt("port")),
-                                 remi::FrameVerb::kCounters, payload);
-  if (!response.ok()) return Fail(response.status());
-  std::printf("%s\n", response->c_str());
-  auto parsed = remi::ParseJson(*response);
-  if (!parsed.ok() || !parsed->is_object()) {
-    return Fail(Status::Internal("unparseable server response"));
-  }
-  const remi::JsonValue* status = parsed->Find("status");
-  return (status != nullptr && status->is_string() &&
-          status->AsString() == "OK")
-             ? 0
-             : 2;
+  return AdminRoundTrip(flags, remi::FrameVerb::kCounters, request,
+                        /*binary=*/true);
 }
 
 }  // namespace
@@ -644,6 +520,13 @@ int main(int argc, char** argv) {
                   "times (capped exponential backoff with jitter)");
   if (auto status = flags.Parse(argc, argv); !status.ok()) {
     return Fail(status);
+  }
+  // Checked on the int64 value: a cast to int would truncate
+  // 4294973760 to the valid port 6464.
+  if (const int64_t port = flags.GetInt("port"); port < 1 || port > 65535) {
+    std::fprintf(stderr, "error: --port must be in [1, 65535], got %lld\n",
+                 static_cast<long long>(port));
+    return 1;
   }
   const auto& args = flags.positional();
   if (args.empty()) {
