@@ -75,7 +75,7 @@ EntitySet RandomBitmapSet(std::mt19937_64* rng, size_t universe,
 
 EntitySet SparseVectorSet(std::mt19937_64* rng, size_t universe) {
   // ~1/64 density: squarely in the vector regime regardless of universe,
-  // the shape of a typical unpinned queue entry before its bitmap twin.
+  // the shape of a typical sparse queue entry before its bitmap twin.
   std::bernoulli_distribution member(1.0 / 64.0);
   std::vector<TermId> ids;
   for (size_t id = 0; id < universe; ++id) {

@@ -39,10 +39,8 @@ bool ThreeSpansIntersect(std::span<const Triple> a, std::span<const Triple> b,
 
 }  // namespace
 
-Evaluator::Evaluator(const KnowledgeBase* kb, size_t cache_capacity,
-                     size_t cache_shards)
-    : kb_(kb),
-      cache_(std::make_shared<EvalCache>(cache_capacity, cache_shards)) {}
+Evaluator::Evaluator(const KnowledgeBase* kb, size_t cache_capacity)
+    : kb_(kb), cache_(std::make_shared<EvalCache>(cache_capacity)) {}
 
 Evaluator::Evaluator(const KnowledgeBase* kb, std::shared_ptr<EvalCache> cache)
     : kb_(kb), cache_(std::move(cache)) {}

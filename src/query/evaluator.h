@@ -48,11 +48,8 @@ class Evaluator {
  public:
   /// \param kb the knowledge base (not owned; must outlive the evaluator)
   /// \param cache_capacity total LRU capacity in entries, split across
-  ///        shards; 0 disables caching.
-  /// \param cache_shards shard count (rounded up to a power of two);
-  ///        0 = EvalCache::kDefaultShards.
-  explicit Evaluator(const KnowledgeBase* kb, size_t cache_capacity = 65536,
-                     size_t cache_shards = 0);
+  ///        EvalCache::kDefaultShards shards; 0 disables caching.
+  explicit Evaluator(const KnowledgeBase* kb, size_t cache_capacity = 65536);
 
   /// Variant sharing an externally owned cache: several evaluators over
   /// the *same* KB (e.g. the Service's per-cost-variant miners) reuse one

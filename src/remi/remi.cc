@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -24,6 +25,26 @@ constexpr size_t kSpillMinRange = 16;
 /// paths, which remain correct.
 constexpr size_t kPinnedBitmapBudgetBytes = 64u << 20;
 
+/// Runs `body(begin, end)` over [0, n). Paper §3.5.2 parallelizes queue
+/// construction, so with a pool, off its workers and for n > 64, the
+/// range is split into one chunk per pool thread; otherwise (no pool, a
+/// small queue, or a MineBatch item already running on a worker — batch
+/// items parallelize across sets, not within one) it runs inline.
+template <typename Body>
+void ForEachChunk(ThreadPool* pool, size_t n, const Body& body) {
+  if (pool == nullptr || pool->OnWorkerThread() || n <= 64) {
+    body(0, n);
+    return;
+  }
+  TaskGroup group;
+  const size_t chunk = (n + pool->num_threads() - 1) / pool->num_threads();
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t end = std::min(begin + chunk, n);
+    pool->Submit(&group, [&body, begin, end] { body(begin, end); });
+  }
+  group.Wait();
+}
+
 }  // namespace
 
 int RemiOptions::EffectiveThreads() const {
@@ -45,7 +66,7 @@ struct RemiMiner::SearchShared {
   /// Forced-bitmap twins of the pinned views (same elements, bitmap rep),
   /// built once per search when the universe fits the byte budget. A
   /// sparse DFS prefix then intersects by |prefix| bit-tests instead of a
-  /// merge over both sides — the dominant node cost. Empty when disabled;
+  /// merge over both sides — the dominant node cost. Null when disabled;
   /// entries alias `pinned` where the view is already a bitmap.
   const std::vector<const MatchSet*>* dense = nullptr;
   /// Acceptance threshold: |T| for strict REs, |T| + k with exceptions.
@@ -200,8 +221,7 @@ RemiMiner::RemiMiner(const KnowledgeBase* kb, const RemiOptions& options,
       evaluator_(shared_cache != nullptr
                      ? std::make_unique<Evaluator>(kb, std::move(shared_cache))
                      : std::make_unique<Evaluator>(
-                           kb, options.eval_cache_capacity,
-                           options.eval_cache_shards)),
+                           kb, options.eval_cache_capacity)),
       cost_model_(std::make_unique<CostModel>(kb, options.cost)),
       enumerator_(
           std::make_unique<SubgraphEnumerator>(evaluator_.get(),
@@ -251,40 +271,16 @@ Result<std::vector<RankedSubgraph>> RemiMiner::RankedCommonSubgraphs(
 
   std::vector<RankedSubgraph> ranked(common.size());
   std::atomic<bool> interrupted{false};
-  ThreadPool* pool = pool_;
-  if (pool != nullptr && !pool->OnWorkerThread() && common.size() > 64) {
-    // Paper §3.5.2: the construction and sorting of the queue is
-    // parallelized (Ĉ evaluation dominates this phase). On a worker
-    // thread (a MineBatch item) the chunks are computed inline instead:
-    // batch items parallelize across sets, not within one.
-    TaskGroup group;
-    const size_t chunk = (common.size() + pool->num_threads() - 1) /
-                         pool->num_threads();
-    for (size_t begin = 0; begin < common.size(); begin += chunk) {
-      const size_t end = std::min(begin + chunk, common.size());
-      pool->Submit(&group, [this, &common, &ranked, begin, end, &control,
-                            &interrupted] {
-        for (size_t i = begin; i < end; ++i) {
-          if ((i & 63u) == 0 && !CostingInterruptStatus(control).ok()) {
-            interrupted.store(true, std::memory_order_relaxed);
-            return;
-          }
-          ranked[i] = RankedSubgraph{common[i],
-                                     cost_model_->SubgraphCost(common[i])};
-        }
-      });
-    }
-    group.Wait();
-  } else {
-    for (size_t i = 0; i < common.size(); ++i) {
+  ForEachChunk(pool_, common.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
       if ((i & 63u) == 0 && !CostingInterruptStatus(control).ok()) {
         interrupted.store(true, std::memory_order_relaxed);
-        break;
+        return;
       }
       ranked[i] =
           RankedSubgraph{common[i], cost_model_->SubgraphCost(common[i])};
     }
-  }
+  });
   if (interrupted.load(std::memory_order_relaxed)) {
     return CostingInterruptStatus(control);
   }
@@ -396,18 +392,8 @@ void RemiMiner::Dfs(const MatchSet& prefix_matches, double prefix_cost,
     //     twin) and both tests read frame->size().
     // Either way the steady state allocates nothing: frames only grow to
     // their per-depth high-water capacity.
-    // Budget fallback (RemiOptions::max_pinned_bytes): an entry left
-    // unpinned resolves through the evaluator per node — the cache lookup
-    // the pinned fast path avoids — with its owner held for this node
-    // (including the recursion below).
-    std::shared_ptr<const MatchSet> fallback_owner;
     const MatchSet* entry = pinned[j];
-    if (entry == nullptr) {
-      fallback_owner = evaluator_->Match(queue[j].expression);
-      entry = fallback_owner.get();
-    }
-    const MatchSet* rhs =
-        (dense != nullptr && (*dense)[j] != nullptr) ? (*dense)[j] : entry;
+    const MatchSet* rhs = dense != nullptr ? (*dense)[j] : entry;
     if (!entry->is_bitmap() &&
         entry->size() * 16 < prefix_matches.size()) {
       rhs = entry;
@@ -488,22 +474,16 @@ bool RemiMiner::ExploreRoot(size_t root, SearchShared* shared,
     return true;  // nothing cheaper can exist below this root
   }
 
-  // The root's match set is a pinned view (no cache lookup, no copy)
-  // unless max_pinned_bytes left this entry unpinned.
-  std::shared_ptr<const MatchSet> root_owner;
-  const MatchSet* matches = (*shared->pinned)[root];
-  if (matches == nullptr) {
-    root_owner = evaluator_->Match(rho.expression);
-    matches = root_owner.get();
-  }
+  // The root's match set is a pinned view: no cache lookup, no copy.
+  const MatchSet& matches = *(*shared->pinned)[root];
   shared->nodes.fetch_add(1, std::memory_order_relaxed);
   std::vector<size_t> path{root};
-  if (matches->size() <= shared->max_matches) {
+  if (matches.size() <= shared->max_matches) {
     shared->UpdateBest(rho.cost, path);
     shared->depth_prunes.fetch_add(1, std::memory_order_relaxed);
     ++arena->count_only;
   } else {
-    Dfs(*matches, rho.cost, root + 1, queue.size(), shared, 1, tracker, &path,
+    Dfs(matches, rho.cost, root + 1, queue.size(), shared, 1, tracker, &path,
         arena);
   }
   return !shared->Interrupted();
@@ -571,36 +551,32 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
                                        const MineControl& control) const {
   RemiResult result;
   const EvaluatorStats eval_before = evaluator_->stats();
+  SearchShared shared;
 
   Timer build_timer;
   auto ranked = RankedCommonSubgraphs(sorted_targets, control);
-  if (!ranked.ok()) {
-    // Interrupted during queue costing: an in-band partial result, same
-    // contract as an interrupt during the search.
-    if (ranked.status().IsDeadlineExceeded() ||
-        ranked.status().IsCancelled()) {
-      result.stats.queue_build_seconds = build_timer.ElapsedSeconds();
-      result.timed_out = ranked.status().IsDeadlineExceeded();
-      result.cancelled = ranked.status().IsCancelled();
-      const EvaluatorStats eval_now = evaluator_->stats();
-      result.stats.eval.subgraph_evaluations =
-          eval_now.subgraph_evaluations - eval_before.subgraph_evaluations;
-      result.stats.eval.membership_tests =
-          eval_now.membership_tests - eval_before.membership_tests;
-      result.stats.eval.cache_hits =
-          eval_now.cache_hits - eval_before.cache_hits;
-      result.stats.eval.cache_misses =
-          eval_now.cache_misses - eval_before.cache_misses;
-      return result;
-    }
+  std::vector<RankedSubgraph> queue;
+  if (ranked.ok()) {
+    queue = std::move(*ranked);
+  } else if (ranked.status().IsDeadlineExceeded()) {
+    // Interrupted during queue costing: an in-band partial result over an
+    // empty queue, same contract as an interrupt during the search.
+    shared.timed_out.store(true, std::memory_order_relaxed);
+  } else if (ranked.status().IsCancelled()) {
+    shared.cancelled.store(true, std::memory_order_relaxed);
+  } else {
     return ranked.status();
   }
-  result.stats.num_common_subgraphs = ranked->size();
+  result.stats.num_common_subgraphs = queue.size();
   result.stats.queue_build_seconds = build_timer.ElapsedSeconds();
 
-  SearchShared shared;
-  shared.queue = &*ranked;
-  shared.max_matches = sorted_targets.size() + max_exceptions;
+  shared.queue = &queue;
+  // |T| + k, saturated: a huge exception budget must not wrap the
+  // acceptance threshold below |T|.
+  shared.max_matches =
+      max_exceptions > SIZE_MAX - sorted_targets.size()
+          ? SIZE_MAX
+          : sorted_targets.size() + max_exceptions;
   shared.cancel = control.cancel;
   Deadline deadline = control.deadline;
   if (options_.timeout_seconds > 0) {
@@ -613,12 +589,13 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
   shared.deadline = deadline;
 
   Timer search_timer;
-  const size_t n = ranked->size();
+  const size_t n = queue.size();
 
   // A request whose deadline expired (or that was cancelled) during the
   // queue build skips the search entirely and reports its partial stats.
   bool no_solution_proven = false;
-  bool interrupted_before_search = shared.CheckDeadline();
+  bool interrupted_before_search =
+      shared.Interrupted() || shared.CheckDeadline();
 
   // Pin the queue views: resolve every entry's match set once, up front,
   // so the DFS indexes a flat array instead of hashing the EvalCache per
@@ -629,54 +606,20 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
   // the kernel eliminates.
   std::vector<std::shared_ptr<const MatchSet>> pinned_owners(n);
   std::vector<const MatchSet*> pinned(n);
-  if (!interrupted_before_search && n > 0) {
-    const auto pin_range = [this, &pinned_owners, &pinned, &shared](
-                               size_t begin, size_t end) {
-      const auto& queue = *shared.queue;
+  if (!interrupted_before_search) {
+    ForEachChunk(pool, n, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         if ((i & 63u) == 0 && shared.CheckDeadline()) return;
         pinned_owners[i] = evaluator_->Match(queue[i].expression);
         pinned[i] = pinned_owners[i].get();
       }
-    };
-    if (pool != nullptr && !pool->OnWorkerThread() && n > 64) {
-      TaskGroup pin_group;
-      const size_t chunk =
-          (n + pool->num_threads() - 1) / pool->num_threads();
-      for (size_t begin = 0; begin < n; begin += chunk) {
-        const size_t end = std::min(begin + chunk, n);
-        pool->Submit(&pin_group,
-                     [&pin_range, begin, end] { pin_range(begin, end); });
-      }
-      pin_group.Wait();
-    } else {
-      pin_range(0, n);
-    }
+    });
     interrupted_before_search = shared.Interrupted();
-    if (!interrupted_before_search) {
-      // RemiOptions::max_pinned_bytes: keep the longest queue-order prefix
-      // that fits the budget. The prefix rule is deliberate — it is
-      // deterministic and the head of the cost-sorted queue is exactly
-      // what the DFS touches most. Entries past the cut release their
-      // owners and fall back to per-node evaluator lookups in the DFS.
-      const size_t budget = options_.max_pinned_bytes;
-      size_t kept = n;
-      size_t kept_bytes = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t entry_bytes = pinned[i]->MemoryBytes();
-        if (budget != 0 && kept_bytes + entry_bytes > budget) {
-          kept = i;
-          break;
-        }
-        kept_bytes += entry_bytes;
-      }
-      for (size_t i = kept; i < n; ++i) {
-        pinned_owners[i].reset();
-        pinned[i] = nullptr;
-      }
-      result.stats.pinned_queue_entries = kept;
-      result.stats.pinned_queue_bytes = kept_bytes;
-      result.stats.unpinned_queue_entries = n - kept;
+  }
+  if (!interrupted_before_search) {
+    result.stats.pinned_queue_entries = n;
+    for (const MatchSet* view : pinned) {
+      result.stats.pinned_queue_bytes += view->MemoryBytes();
     }
   }
   shared.pinned = &pinned;
@@ -693,10 +636,7 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
       bitmap_bytes * n <= kPinnedBitmapBudgetBytes) {
     dense_storage.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      if (pinned[i] == nullptr) {
-        // Budget-unpinned entry: resolved per node, no resident twin.
-        dense[i] = nullptr;
-      } else if (pinned[i]->is_bitmap()) {
+      if (pinned[i]->is_bitmap()) {
         dense[i] = pinned[i];
       } else {
         dense_storage.push_back(pinned[i]->ForcedBitmap(universe));
@@ -707,21 +647,8 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
     shared.dense = &dense;
   }
 
-  // Resolves queue entry `idx` for the assembly-side passes below: the
-  // pinned view when present, else a fresh evaluator lookup whose owner
-  // the caller keeps alive via `owner`.
-  const auto resolve = [&](size_t idx, std::shared_ptr<const MatchSet>* owner)
-      -> const MatchSet* {
-    if (pinned[idx] != nullptr) return pinned[idx];
-    *owner = evaluator_->Match((*ranked)[idx].expression);
-    return owner->get();
-  };
-
   // Cache traffic from here on is per-node traffic: the pinning pass
-  // above was the search's last legitimate EvalCache access. (With a
-  // max_pinned_bytes budget in force, unpinned entries legitimately
-  // contribute per-node lookups here; the counter then measures exactly
-  // the traffic the budget trades for memory.)
+  // above was the search's last legitimate EvalCache access.
   const uint64_t cache_lookups_before_search =
       evaluator_->stats().cache_lookups();
 
@@ -732,15 +659,13 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
   // first root can be skipped entirely. The pinned views make this a pure
   // intersection cascade over two ping-pong buffers.
   if (n > 0 && !interrupted_before_search) {
-    std::shared_ptr<const MatchSet> first_owner;
-    MatchSet everything = *resolve(0, &first_owner);
+    MatchSet everything = *pinned[0];
     MatchSet scratch;
     for (size_t i = 1;
          i < n && everything.size() > shared.max_matches &&
          !shared.CheckDeadline();
          ++i) {
-      std::shared_ptr<const MatchSet> owner;
-      EntitySet::IntersectInto(everything, *resolve(i, &owner), &scratch);
+      EntitySet::IntersectInto(everything, *pinned[i], &scratch);
       std::swap(everything, scratch);
     }
     no_solution_proven = everything.size() > shared.max_matches &&
@@ -755,7 +680,7 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
     for (size_t i = 0; i < n; ++i) {
       if (shared.stop.load(std::memory_order_relaxed)) break;
       if (shared.HasSolution() &&
-          (*ranked)[i].cost >=
+          queue[i].cost >=
               shared.best_cost_relaxed.load(std::memory_order_relaxed)) {
         break;  // all remaining roots are at least as expensive
       }
@@ -821,15 +746,12 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
   result.found = result.cost < CostModel::kInfiniteCost;
   if (result.found) {
     for (const size_t idx : best_path) {
-      result.expression = result.expression.Conjoin((*ranked)[idx].expression);
+      result.expression = result.expression.Conjoin(queue[idx].expression);
     }
-    std::shared_ptr<const MatchSet> first_owner;
-    MatchSet matches = *resolve(best_path[0], &first_owner);
+    MatchSet matches = *pinned[best_path[0]];
     MatchSet scratch;
     for (size_t i = 1; i < best_path.size(); ++i) {
-      std::shared_ptr<const MatchSet> owner;
-      EntitySet::IntersectInto(matches, *resolve(best_path[i], &owner),
-                               &scratch);
+      EntitySet::IntersectInto(matches, *pinned[best_path[i]], &scratch);
       std::swap(matches, scratch);
     }
     // Exceptions: the matched non-targets of the winning expression.

@@ -74,16 +74,6 @@ struct RemiOptions {
   /// switch it off. See EffectiveThreads().
   bool clamp_threads_to_hardware = true;
 
-  /// Byte budget for the search kernel's pinned queue views (the
-  /// forced-bitmap twins have their own separate 64 MiB budget; see
-  /// remi.cc). The pinning pass resolves queue entries in queue order —
-  /// cheapest Ĉ first, i.e. the entries the DFS visits most — and stops
-  /// pinning once the resident view bytes would exceed this budget;
-  /// unpinned entries fall back to per-node evaluator lookups (counted in
-  /// RemiStats::unpinned_queue_entries and search_cache_lookups). 0 means
-  /// unlimited: every entry is pinned and the DFS issues no cache lookups.
-  size_t max_pinned_bytes = 0;
-
   /// num_threads after the hardware clamp: what the miner actually uses.
   int EffectiveThreads() const;
 
@@ -102,10 +92,6 @@ struct RemiOptions {
 
   /// LRU capacity of the evaluator's match-set cache (§3.5.2); 0 disables.
   size_t eval_cache_capacity = 65536;
-
-  /// Shard count of the match-set cache (lock striping for concurrent
-  /// Match() calls); 0 = EvalCache::kDefaultShards.
-  size_t eval_cache_shards = 0;
 };
 
 /// Per-call execution control, carried by Service requests: an absolute
@@ -152,27 +138,23 @@ struct RemiStats {
   /// holds every entry's set alive for the search regardless of the
   /// EvalCache's LRU capacity, so a request's peak match-set memory is
   /// bounded by its queue (Σ match-set sizes, observable here), not by
-  /// the cache budget. `pinned_queue_bytes` counts exactly the view bytes
-  /// RemiOptions::max_pinned_bytes is charged against; the forced-bitmap
-  /// twins are accounted separately in `dense_twin_bytes` and respect
-  /// their own hard byte budget (see remi.cc).
+  /// the cache budget. Every entry is pinned (|G| entries; 0 when the run
+  /// was interrupted before the search). The forced-bitmap twins are
+  /// accounted separately in `dense_twin_bytes` and respect their own
+  /// hard byte budget (see remi.cc).
   size_t pinned_queue_entries = 0;
   size_t pinned_queue_bytes = 0;
   /// Heap bytes of the forced-bitmap twins built for vector-rep pinned
   /// entries (0 when the twin pass was skipped or every entry was already
   /// a bitmap).
   size_t dense_twin_bytes = 0;
-  /// Queue entries left unpinned by RemiOptions::max_pinned_bytes; the DFS
-  /// resolves them per node through the evaluator (and its cache) instead
-  /// of a pinned view. 0 whenever the budget is unlimited or large enough.
-  size_t unpinned_queue_entries = 0;
-  /// EvalCache lookups issued during the DFS itself — 0 in steady state
-  /// (the pinning pass and cross-request reuse still go through the
-  /// cache; only per-node lookups are outlawed). Measured as a delta of
-  /// the evaluator's shared counters over the search phase, so like the
-  /// `eval` fields it can be inflated by *concurrent* runs sharing the
-  /// miner or cache (the DFS itself never touches the cache); it is
-  /// exact for a miner serving one request at a time.
+  /// EvalCache lookups issued during the DFS itself — 0 by construction:
+  /// the DFS reads only pinned views (the pinning pass and cross-request
+  /// reuse still go through the cache; only per-node lookups are
+  /// outlawed). Measured as a delta of the evaluator's shared counters
+  /// over the search phase, so like the `eval` fields it can be inflated
+  /// by *concurrent* runs sharing the miner or cache; it is exact for a
+  /// miner serving one request at a time.
   uint64_t search_cache_lookups = 0;
 
   double queue_build_seconds = 0.0;  ///< Alg. 1 lines 1-2

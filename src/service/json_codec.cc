@@ -186,9 +186,6 @@ JsonValue StatsToJson(const RemiStats& stats, const ServiceStats& service) {
           JsonValue::Number(static_cast<double>(stats.pinned_queue_bytes)));
   out.Set("dense_twin_bytes",
           JsonValue::Number(static_cast<double>(stats.dense_twin_bytes)));
-  out.Set("unpinned_queue_entries",
-          JsonValue::Number(
-              static_cast<double>(stats.unpinned_queue_entries)));
   out.Set("search_cache_lookups",
           JsonValue::Number(static_cast<double>(stats.search_cache_lookups)));
   out.Set("queue_wait_seconds",

@@ -90,8 +90,7 @@ KbEpoch::KbEpoch(KnowledgeBase kb_in, uint64_t generation_in,
                  std::shared_ptr<std::atomic<size_t>> live_epochs_in)
     : kb(std::move(kb_in)),
       generation(generation_in),
-      eval_cache(std::make_shared<EvalCache>(mining.eval_cache_capacity,
-                                             mining.eval_cache_shards)),
+      eval_cache(std::make_shared<EvalCache>(mining.eval_cache_capacity)),
       live_epochs(std::move(live_epochs_in)) {
   live_epochs->fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -142,6 +143,29 @@ bool Flags::GetBool(const std::string& name) const {
   auto it = flags_.find(name);
   REMI_CHECK(it != flags_.end() && it->second.type == Type::kBool);
   return it->second.value == "true" || it->second.value == "1";
+}
+
+Status Flags::CheckRanges(const std::vector<IntRange>& int_ranges,
+                          const std::vector<const char*>& non_negative) const {
+  for (const IntRange& range : int_ranges) {
+    const int64_t value = GetInt(range.name);
+    if (value < range.min || value > range.max) {
+      return Status::InvalidArgument(
+          std::string("--") + range.name + " must be in [" +
+          std::to_string(range.min) + ", " + std::to_string(range.max) +
+          "], got " + std::to_string(value));
+    }
+  }
+  for (const char* name : non_negative) {
+    const double value = GetDouble(name);
+    if (!(value >= 0.0)) {  // also rejects NaN
+      char got[32];
+      std::snprintf(got, sizeof(got), "%g", value);
+      return Status::InvalidArgument(std::string("--") + name +
+                                     " must be >= 0, got " + got);
+    }
+  }
+  return Status::OK();
 }
 
 std::string Flags::Help() const {

@@ -43,6 +43,23 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// An inclusive bound on an int flag.
+  struct IntRange {
+    const char* name;
+    int64_t min;
+    int64_t max;
+  };
+
+  /// Range-checks parsed numeric flags before a caller casts them: a cast
+  /// to size_t would wrap a negative count, and one to int would truncate
+  /// an oversized value (4294973760 to the valid port 6464). Each int
+  /// flag in `int_ranges` must lie in its range, and each double flag in
+  /// `non_negative` must be >= 0. The first violation fails with
+  /// InvalidArgument "--<name> must be in [<min>, <max>], got <value>" or
+  /// "--<name> must be >= 0, got <value>".
+  Status CheckRanges(const std::vector<IntRange>& int_ranges,
+                     const std::vector<const char*>& non_negative) const;
+
   /// Formatted help text listing all registered flags.
   std::string Help() const;
 

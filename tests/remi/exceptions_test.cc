@@ -1,5 +1,7 @@
 // MineReWithExceptions (§6 future work: relaxed unambiguity).
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "kbgen/curated.h"
@@ -107,14 +109,19 @@ TEST_F(ExceptionsTest, RelaxationDescribesIndistinguishableTwins) {
 TEST_F(ExceptionsTest, LargerBudgetsOnlyImprove) {
   const std::vector<TermId> targets{Id("Guyana"), Id("Suriname")};
   double prev = CostModel::kInfiniteCost;
-  for (size_t k : {0u, 1u, 3u, 6u}) {
+  // The last budget saturates the |T| + k acceptance threshold.
+  for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{6},
+                   std::numeric_limits<size_t>::max()}) {
     auto result = miner_->MineReWithExceptions(targets, k);
     ASSERT_TRUE(result.ok());
+    // Once a budget finds an RE, every larger budget finds one too.
+    if (prev < CostModel::kInfiniteCost) EXPECT_TRUE(result->found) << k;
     if (result->found) {
       EXPECT_LE(result->cost, prev + 1e-9);
       prev = result->cost;
     }
   }
+  EXPECT_LT(prev, CostModel::kInfiniteCost);
 }
 
 TEST_F(ExceptionsTest, ParallelAgreesWithSequential) {

@@ -140,76 +140,6 @@ TEST(SearchKernelTest, AblationPathsStillMaterializeCorrectly) {
   }
 }
 
-// RemiOptions::max_pinned_bytes caps the resident pinned views; entries
-// past the budget fall back to per-node cache lookups. The budget must
-// never change what is mined — only the memory/lookup trade-off.
-TEST(SearchKernelTest, PinnedByteBudgetFallsBackWithIdenticalResults) {
-  KnowledgeBase kb = BuildCuratedKb();
-  RemiMiner unlimited(&kb, RemiOptions{});
-  for (const char* name : {"Paris", "Marie_Curie", "Guyana"}) {
-    const std::vector<TermId> targets{*FindEntity(kb, name)};
-    auto base = unlimited.MineRe(targets);
-    ASSERT_TRUE(base.ok());
-    ASSERT_GT(base->stats.num_common_subgraphs, 0u);
-    EXPECT_EQ(base->stats.unpinned_queue_entries, 0u);
-
-    // A 1-byte budget pins nothing: every queue entry resolves per node.
-    RemiOptions starved;
-    starved.max_pinned_bytes = 1;
-    RemiMiner starved_miner(&kb, starved);
-    auto s = starved_miner.MineRe(targets);
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->stats.pinned_queue_entries, 0u);
-    EXPECT_EQ(s->stats.unpinned_queue_entries,
-              s->stats.num_common_subgraphs);
-    EXPECT_GT(s->stats.search_cache_lookups, 0u);
-
-    // A budget one byte short of the full view footprint pins a strict,
-    // non-empty queue prefix: the last entry cannot fit, the first must
-    // (every entry's view holds at least one byte).
-    ASSERT_GT(base->stats.pinned_queue_bytes, 1u);
-    RemiOptions half;
-    half.max_pinned_bytes = base->stats.pinned_queue_bytes - 1;
-    RemiMiner half_miner(&kb, half);
-    auto h = half_miner.MineRe(targets);
-    ASSERT_TRUE(h.ok());
-    EXPECT_GT(h->stats.pinned_queue_entries, 0u);
-    EXPECT_LT(h->stats.pinned_queue_entries, h->stats.num_common_subgraphs);
-    EXPECT_EQ(h->stats.pinned_queue_entries + h->stats.unpinned_queue_entries,
-              h->stats.num_common_subgraphs);
-
-    for (const auto* r : {&*s, &*h}) {
-      EXPECT_EQ(r->found, base->found) << name;
-      EXPECT_EQ(r->expression, base->expression) << name;
-      EXPECT_NEAR(r->cost, base->cost, 1e-12) << name;
-      EXPECT_EQ(r->stats.nodes_visited, base->stats.nodes_visited) << name;
-    }
-  }
-}
-
-TEST(SearchKernelTest, PinnedByteBudgetAgreesUnderParallelSearch) {
-  KnowledgeBase kb = BuildCuratedKb();
-  RemiMiner sequential(&kb, RemiOptions{});
-  RemiOptions par;
-  par.num_threads = 4;
-  par.clamp_threads_to_hardware = false;
-  par.spill_depth = 64;
-  par.max_pinned_bytes = 1024;  // starve most of the queue
-  RemiMiner par_miner(&kb, par);
-  for (const char* name : {"Paris", "Rennes", "Marie_Curie"}) {
-    const std::vector<TermId> targets{*FindEntity(kb, name)};
-    auto a = sequential.MineRe(targets);
-    auto b = par_miner.MineRe(targets);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->found, b->found) << name;
-    if (a->found) {
-      EXPECT_EQ(a->expression, b->expression) << name;
-      EXPECT_NEAR(a->cost, b->cost, 1e-12) << name;
-    }
-  }
-}
-
 // §6 exceptions mining rides the same kernel: sequential and parallel
 // runs must return byte-identical expressions *and* exception lists.
 TEST(SearchKernelTest, ExceptionsMiningAgreesAcrossThreadCounts) {

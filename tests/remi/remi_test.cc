@@ -264,6 +264,34 @@ TEST_F(RemiTest, TimeoutReturnsGracefully) {
   auto result = miner.MineRe({Id("Rennes"), Id("Nantes")});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->timed_out);
+
+  // A control that has already fired stops the run during queue costing,
+  // before any search node: an in-band partial result, not an error.
+  CancellationSource source;
+  source.RequestCancellation();
+  MineControl cancelled;
+  cancelled.cancel = source.token();
+  MineControl expired;
+  expired.deadline = Deadline::AfterSeconds(0);
+  for (const MineControl* control : {&cancelled, &expired}) {
+    RemiMiner fresh(kb_, RemiOptions{});
+    const EvaluatorStats before = fresh.evaluator()->stats();
+    auto r = fresh.MineRe({Id("Rennes"), Id("Nantes")}, *control);
+    const EvaluatorStats after = fresh.evaluator()->stats();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->cancelled, control == &cancelled);
+    EXPECT_EQ(r->timed_out, control == &expired);
+    EXPECT_FALSE(r->found);
+    EXPECT_EQ(r->stats.nodes_visited, 0u);
+    EXPECT_GT(r->stats.eval.membership_tests, 0u);  // the enumeration ran
+    EXPECT_EQ(r->stats.eval.subgraph_evaluations,
+              after.subgraph_evaluations - before.subgraph_evaluations);
+    EXPECT_EQ(r->stats.eval.membership_tests,
+              after.membership_tests - before.membership_tests);
+    EXPECT_EQ(r->stats.eval.cache_hits, after.cache_hits - before.cache_hits);
+    EXPECT_EQ(r->stats.eval.cache_misses,
+              after.cache_misses - before.cache_misses);
+  }
 }
 
 TEST_F(RemiTest, CostMatchesCostModel) {

@@ -101,6 +101,18 @@ TEST_F(FlagsTest, PositionalArgumentsCollected) {
   EXPECT_EQ(flags_.positional()[1], "output.rkf");
 }
 
+TEST_F(FlagsTest, CheckRangesRejectsTheFirstOutOfRangeValue) {
+  std::vector<std::string> args{"--count", "-1", "--rate", "-0.5"};
+  auto argv = MakeArgv(args);
+  ASSERT_TRUE(flags_.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  EXPECT_TRUE(flags_.CheckRanges({{"count", -1, 0}}, {}).ok());
+  const Status count = flags_.CheckRanges({{"count", 0, 65535}}, {"rate"});
+  EXPECT_TRUE(count.IsInvalidArgument());
+  EXPECT_EQ(count.message(), "--count must be in [0, 65535], got -1");
+  const Status rate = flags_.CheckRanges({}, {"rate"});
+  EXPECT_EQ(rate.message(), "--rate must be >= 0, got -0.5");
+}
+
 TEST_F(FlagsTest, HelpListsFlags) {
   const std::string help = flags_.Help();
   EXPECT_NE(help.find("--name"), std::string::npos);

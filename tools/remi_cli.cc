@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -521,11 +522,15 @@ int main(int argc, char** argv) {
   if (auto status = flags.Parse(argc, argv); !status.ok()) {
     return Fail(status);
   }
-  // Checked on the int64 value: a cast to int would truncate
-  // 4294973760 to the valid port 6464.
-  if (const int64_t port = flags.GetInt("port"); port < 1 || port > 65535) {
-    std::fprintf(stderr, "error: --port must be in [1, 65535], got %lld\n",
-                 static_cast<long long>(port));
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  if (auto status = flags.CheckRanges(
+          {{"threads", 0, kIntMax}, {"exceptions", 0, kIntMax},
+           {"k", 0, kIntMax}, {"max-retries", 0, kIntMax},
+           {"kb-max-inflight", 0, kIntMax}, {"kb-max-queued", 0, kIntMax},
+           {"port", 1, 65535}},
+          {"timeout"});
+      !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.message().c_str());
     return 1;
   }
   const auto& args = flags.positional();

@@ -103,30 +103,20 @@ int main(int argc, char** argv) {
                 flags.Help().c_str());
     return 1;
   }
-  // The casts below would wrap a negative count into a huge size_t (or
-  // an oversized one into a negative or truncated int), so reject both up
-  // front, on the int64 value.
-  constexpr int kIntMax = std::numeric_limits<int>::max();
-  const std::pair<const char*, int> kIntRanges[] = {
-      {"port", 65535}, {"threads", kIntMax}, {"max-inflight", kIntMax},
-      {"max-queued", kIntMax}, {"tenant-max-inflight", kIntMax},
-      {"tenant-max-queued", kIntMax}, {"dispatch-threads", kIntMax},
-      {"max-write-buffer", kIntMax}, {"idle-timeout-ms", kIntMax},
-      {"write-stall-timeout-ms", kIntMax}, {"handshake-timeout-ms", kIntMax}};
-  for (const auto& [name, max] : kIntRanges) {
-    const int64_t value = flags.GetInt(name);
-    if (value < 0 || value > max) {
-      std::fprintf(stderr, "error: --%s must be in [0, %d], got %lld\n",
-                   name, max, static_cast<long long>(value));
-      return 1;
-    }
-  }
-  for (const char* name : {"drain-grace", "brownout-p99-ms"}) {
-    if (!(flags.GetDouble(name) >= 0.0)) {
-      std::fprintf(stderr, "error: --%s must be >= 0, got %g\n", name,
-                   flags.GetDouble(name));
-      return 1;
-    }
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  if (auto status = flags.CheckRanges(
+          {{"port", 0, 65535}, {"threads", 0, kIntMax},
+           {"max-inflight", 0, kIntMax}, {"max-queued", 0, kIntMax},
+           {"tenant-max-inflight", 0, kIntMax},
+           {"tenant-max-queued", 0, kIntMax},
+           {"dispatch-threads", 0, kIntMax},
+           {"max-write-buffer", 0, kIntMax}, {"idle-timeout-ms", 0, kIntMax},
+           {"write-stall-timeout-ms", 0, kIntMax},
+           {"handshake-timeout-ms", 0, kIntMax}},
+          {"drain-grace", "brownout-p99-ms"});
+      !status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.message().c_str());
+    return 1;
   }
 
   remi::KbSpec spec;
