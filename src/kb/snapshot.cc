@@ -2,12 +2,12 @@
 // section-table'd RKF2 image and reconstitutes it without rebuilding.
 //
 // SerializeSnapshot dumps every index array (dictionary buffers, the three
-// triple orderings, CSR offset tables and pools, prominence rankings, the
-// class index, the inverse-predicate map) as one section each, plus a
-// varint-coded meta section holding the counts and KbOptions. Open adopts
-// the arrays in place over the mmap'ed image (ArrayRef views) after a
-// structural validation pass, so a snapshot load costs checksum + validate
-// at memory bandwidth instead of parse + sort + hash + rank.
+// triple orderings, CSR offset tables, rank bitmaps and pools, prominence
+// rankings, the class index, the inverse-predicate map) as one section
+// each, plus a varint-coded meta section holding the counts and KbOptions.
+// Open adopts the arrays in place over the mmap'ed image (ArrayRef views)
+// after a structural validation pass, so a snapshot load costs checksum +
+// validate at memory bandwidth instead of parse + sort + hash + rank.
 //
 // Trust model: Rkf2Image::Parse guarantees the *container* (bounds,
 // alignment, checksums). This codec guarantees the *contents*: every
@@ -61,9 +61,17 @@ enum KbSection : uint32_t {
   kSecClassOffsets = 21,
   kSecClassMembers = 22,
   kSecInversePairs = 23,
+  kSecSubjKeyBits = 24,
+  kSecSubjKeyRank = 25,
+  kSecObjKeyBits = 26,
+  kSecObjKeyRank = 27,
 };
 
-constexpr uint64_t kSnapshotMetaVersion = 1;
+/// Version 2: per-predicate offset tables hold one entry per key that
+/// occurs, found through a rank bitmap (version 1 spanned the key range).
+/// Snapshots are derived artifacts, so older images are rejected rather
+/// than decoded: rebuild them with `remi_cli convert`.
+constexpr uint64_t kSnapshotMetaVersion = 2;
 
 static_assert(std::is_trivially_copyable_v<Triple> && sizeof(Triple) == 12,
               "Triple is serialized verbatim in RKF2 snapshots");
@@ -85,8 +93,8 @@ struct Meta {
   uint64_t triples = 0;
   uint64_t predicates = 0;
   uint64_t subjects = 0;
-  uint64_t subj_off_pool = 0;
-  uint64_t obj_off_pool = 0;
+  uint64_t subj_key_words = 0;
+  uint64_t obj_key_words = 0;
   uint64_t distinct_subjects = 0;
   uint64_t distinct_objects = 0;
   uint64_t entities = 0;
@@ -107,12 +115,14 @@ Result<Meta> ParseMeta(std::string_view payload) {
   if (!version.ok()) return version.status();
   if (*version != kSnapshotMetaVersion) {
     return Corrupt("unsupported snapshot version " +
-                   std::to_string(*version));
+                   std::to_string(*version) + " (this build reads version " +
+                   std::to_string(kSnapshotMetaVersion) +
+                   "; rebuild the snapshot from its source)");
   }
   uint64_t* const counts[] = {
       &meta.dict_terms,        &meta.blob_bytes,      &meta.store_terms,
       &meta.triples,           &meta.predicates,      &meta.subjects,
-      &meta.subj_off_pool,     &meta.obj_off_pool,    &meta.distinct_subjects,
+      &meta.subj_key_words,    &meta.obj_key_words,   &meta.distinct_subjects,
       &meta.distinct_objects,  &meta.entities,        &meta.classes,
       &meta.class_members,     &meta.inverse_pairs,   &meta.base_facts,
   };
@@ -197,6 +207,102 @@ Status CheckAscendingIds(const TermId* ids, size_t n, uint64_t limit,
   return Status::OK();
 }
 
+/// One side of the per-predicate key indexes (subjects over PSO, or
+/// objects over POS) as typed views of the image.
+struct KeyIndexArrays {
+  const Triple* order;
+  TermId Triple::*key;
+  const uint64_t* bits;
+  const uint32_t* rank;
+  const uint32_t* offsets;  ///< distinct + 1 entries
+  const TermId* distinct;
+  uint64_t num_words;
+  uint64_t num_distinct;
+};
+
+/// One predicate's claims about its side of the key index.
+struct KeyIndexSlice {
+  uint32_t run_begin;
+  uint32_t run_end;
+  TermId base;
+  uint32_t word_begin;
+  uint32_t word_end;
+  uint32_t distinct_begin;
+  uint32_t distinct_end;
+};
+
+/// Where the next predicate's slices must start (slices tile the pools).
+struct KeyIndexCursor {
+  uint64_t words;
+  uint64_t distinct;
+};
+
+/// Checks one predicate's key index against its run [run_begin, run_end)
+/// of the (already validated) ordering: the distinct keys are exactly the
+/// run's keys, each offset starts that key's sub-run, and the bitmap and
+/// its ranks map every key to its own index and nothing else. After this,
+/// every lookup returns exactly the facts the in-memory Build would.
+Status CheckKeyIndex(const KeyIndexArrays& a, const KeyIndexSlice& slice,
+                     uint64_t terms, const std::string& ctx,
+                     KeyIndexCursor* cursor) {
+  if (slice.distinct_begin != cursor->distinct ||
+      slice.distinct_end <= slice.distinct_begin ||
+      slice.distinct_end > a.num_distinct) {
+    return Corrupt(ctx + " distinct slice does not tile");
+  }
+  REMI_RETURN_NOT_OK(CheckAscendingIds(
+      a.distinct + slice.distinct_begin,
+      slice.distinct_end - slice.distinct_begin, terms,
+      (ctx + " distinct keys").c_str()));
+  if (a.offsets[slice.distinct_begin] != slice.run_begin ||
+      a.offsets[slice.distinct_end] != slice.run_end) {
+    return Corrupt(ctx + " offsets do not span the predicate's run");
+  }
+  for (uint32_t i = slice.distinct_begin; i < slice.distinct_end; ++i) {
+    const uint32_t b = a.offsets[i];
+    const uint32_t e = a.offsets[i + 1];
+    // b < e <= run_end, and the sorted run then holds key i throughout
+    // [b, e) iff its first and last facts do.
+    if (b >= e || e > slice.run_end || a.order[b].*a.key != a.distinct[i] ||
+        a.order[e - 1].*a.key != a.distinct[i]) {
+      return Corrupt(ctx + " offsets disagree with the ordering at " +
+                     std::to_string(i));
+    }
+  }
+  cursor->distinct = slice.distinct_end;
+
+  const TermId last = a.distinct[slice.distinct_end - 1];
+  if (slice.base != a.distinct[slice.distinct_begin] ||
+      slice.word_begin != cursor->words ||
+      slice.word_end > a.num_words ||
+      slice.word_end - static_cast<uint64_t>(slice.word_begin) !=
+          ((static_cast<uint64_t>(last) - slice.base) >> 6) + 1) {
+    return Corrupt(ctx + " key bitmap slice does not tile");
+  }
+  uint32_t next = slice.distinct_begin;
+  for (uint32_t w = slice.word_begin; w < slice.word_end; ++w) {
+    if (a.rank[w] != next) {
+      return Corrupt(ctx + " key rank disagrees at word " + std::to_string(w));
+    }
+    uint64_t expected = 0;
+    const uint64_t word_base = uint64_t{w - slice.word_begin} << 6;
+    while (next < slice.distinct_end &&
+           static_cast<uint64_t>(a.distinct[next]) - slice.base <
+               word_base + 64) {
+      expected |= uint64_t{1}
+                  << ((static_cast<uint64_t>(a.distinct[next]) - slice.base) &
+                      63);
+      ++next;
+    }
+    if (a.bits[w] != expected) {
+      return Corrupt(ctx + " key bitmap disagrees at word " +
+                     std::to_string(w));
+    }
+  }
+  cursor->words = slice.word_end;
+  return Status::OK();
+}
+
 }  // namespace
 
 /// Friend of KnowledgeBase and TripleStore: moves raw arrays in and out.
@@ -243,8 +349,8 @@ std::string SnapshotCodec::Serialize(const KnowledgeBase& kb) {
            static_cast<uint64_t>(store.spo_.size()),
            static_cast<uint64_t>(store.predicates_.size()),
            static_cast<uint64_t>(store.subjects_.size()),
-           static_cast<uint64_t>(store.subj_offset_pool_.size()),
-           static_cast<uint64_t>(store.obj_offset_pool_.size()),
+           static_cast<uint64_t>(store.subj_key_bits_.size()),
+           static_cast<uint64_t>(store.obj_key_bits_.size()),
            static_cast<uint64_t>(store.distinct_subject_pool_.size()),
            static_cast<uint64_t>(store.distinct_object_pool_.size()),
            static_cast<uint64_t>(kb.entities_by_prominence_.size()),
@@ -316,6 +422,18 @@ std::string SnapshotCodec::Serialize(const KnowledgeBase& kb) {
   writer.AddSection(
       kSecInversePairs,
       RawBytes(inverse_pairs.data(), inverse_pairs.size()));
+  writer.AddSection(kSecSubjKeyBits,
+                    RawBytes(store.subj_key_bits_.data(),
+                             store.subj_key_bits_.size()));
+  writer.AddSection(kSecSubjKeyRank,
+                    RawBytes(store.subj_key_rank_.data(),
+                             store.subj_key_rank_.size()));
+  writer.AddSection(kSecObjKeyBits,
+                    RawBytes(store.obj_key_bits_.data(),
+                             store.obj_key_bits_.size()));
+  writer.AddSection(kSecObjKeyRank,
+                    RawBytes(store.obj_key_rank_.data(),
+                             store.obj_key_rank_.size()));
   return writer.Finish();
 }
 
@@ -341,8 +459,8 @@ Result<KnowledgeBase> SnapshotCodec::Open(std::shared_ptr<MmapFile> backing) {
   const uint64_t image_bytes = backing->data().size();
   for (const uint64_t count :
        {meta.dict_terms, meta.blob_bytes, meta.store_terms, meta.triples,
-        meta.predicates, meta.subjects, meta.subj_off_pool,
-        meta.obj_off_pool, meta.distinct_subjects, meta.distinct_objects,
+        meta.predicates, meta.subjects, meta.subj_key_words,
+        meta.obj_key_words, meta.distinct_subjects, meta.distinct_objects,
         meta.entities, meta.classes, meta.class_members,
         meta.inverse_pairs, meta.base_facts}) {
     if (count > image_bytes) {
@@ -396,12 +514,29 @@ Result<KnowledgeBase> SnapshotCodec::Open(std::shared_ptr<MmapFile> backing) {
                                   "predicate index"));
   REMI_ASSIGN_OR_RETURN(
       const uint32_t* subj_off_pool,
-      CastSection<uint32_t>(image, kSecSubjOffPool, meta.subj_off_pool,
+      CastSection<uint32_t>(image, kSecSubjOffPool,
+                            meta.distinct_subjects + 1,
                             "subject offset pool"));
   REMI_ASSIGN_OR_RETURN(
       const uint32_t* obj_off_pool,
-      CastSection<uint32_t>(image, kSecObjOffPool, meta.obj_off_pool,
+      CastSection<uint32_t>(image, kSecObjOffPool, meta.distinct_objects + 1,
                             "object offset pool"));
+  REMI_ASSIGN_OR_RETURN(
+      const uint64_t* subj_key_bits,
+      CastSection<uint64_t>(image, kSecSubjKeyBits, meta.subj_key_words,
+                            "subject key bitmap"));
+  REMI_ASSIGN_OR_RETURN(
+      const uint32_t* subj_key_rank,
+      CastSection<uint32_t>(image, kSecSubjKeyRank, meta.subj_key_words,
+                            "subject key ranks"));
+  REMI_ASSIGN_OR_RETURN(
+      const uint64_t* obj_key_bits,
+      CastSection<uint64_t>(image, kSecObjKeyBits, meta.obj_key_words,
+                            "object key bitmap"));
+  REMI_ASSIGN_OR_RETURN(
+      const uint32_t* obj_key_rank,
+      CastSection<uint32_t>(image, kSecObjKeyRank, meta.obj_key_words,
+                            "object key ranks"));
   REMI_ASSIGN_OR_RETURN(
       const TermId* ds_pool,
       CastSection<TermId>(image, kSecDistinctSubjPool,
@@ -521,11 +656,18 @@ Result<KnowledgeBase> SnapshotCodec::Open(std::shared_ptr<MmapFile> backing) {
     return Corrupt("predicate slot table incomplete");
   }
 
-  // Per-predicate ranges must tile the PSO/POS orderings in slot order and
-  // reference monotone offset slices bounded by their range.
+  // Per-predicate ranges must tile the PSO/POS orderings in slot order,
+  // and each predicate's key index must describe exactly its runs.
   uint64_t pso_cursor = 0, pos_cursor = 0;
-  uint64_t subj_pool_cursor = 0, obj_pool_cursor = 0;
-  uint64_t ds_cursor = 0, do_cursor = 0;
+  KeyIndexCursor subj_cursor_state{0, 0};
+  KeyIndexCursor obj_cursor_state{0, 0};
+  const KeyIndexArrays subj_arrays{pso, &Triple::s, subj_key_bits,
+                                   subj_key_rank, subj_off_pool, ds_pool,
+                                   meta.subj_key_words,
+                                   meta.distinct_subjects};
+  const KeyIndexArrays obj_arrays{pos, &Triple::o, obj_key_bits, obj_key_rank,
+                                  obj_off_pool, do_pool, meta.obj_key_words,
+                                  meta.distinct_objects};
   for (uint64_t k = 0; k < meta.predicates; ++k) {
     const PredicateIndex& idx = pred_index[k];
     const TermId p = predicates[k];
@@ -550,50 +692,28 @@ Result<KnowledgeBase> SnapshotCodec::Open(std::shared_ptr<MmapFile> backing) {
     if (idx.s_base != pso[idx.pso_begin].s || idx.o_base != pos[idx.pos_begin].o) {
       return Corrupt(ctx + ": key base mismatch");
     }
-    if (idx.subj_off_begin != subj_pool_cursor ||
-        idx.subj_off_end <= idx.subj_off_begin ||
-        idx.subj_off_end > meta.subj_off_pool) {
-      return Corrupt(ctx + ": subject offset slice does not tile");
-    }
-    REMI_RETURN_NOT_OK(CheckOffsets(
-        subj_off_pool + idx.subj_off_begin,
-        idx.subj_off_end - idx.subj_off_begin, idx.pso_begin, idx.pso_end,
-        (ctx + " subject offsets").c_str()));
-    subj_pool_cursor = idx.subj_off_end;
-    if (idx.obj_off_begin != obj_pool_cursor ||
-        idx.obj_off_end <= idx.obj_off_begin ||
-        idx.obj_off_end > meta.obj_off_pool) {
-      return Corrupt(ctx + ": object offset slice does not tile");
-    }
-    REMI_RETURN_NOT_OK(CheckOffsets(
-        obj_off_pool + idx.obj_off_begin,
-        idx.obj_off_end - idx.obj_off_begin, idx.pos_begin, idx.pos_end,
-        (ctx + " object offsets").c_str()));
-    obj_pool_cursor = idx.obj_off_end;
-
-    if (idx.ds_begin != ds_cursor || idx.ds_end < idx.ds_begin ||
-        idx.ds_end > meta.distinct_subjects) {
-      return Corrupt(ctx + ": distinct subject slice does not tile");
-    }
-    REMI_RETURN_NOT_OK(CheckAscendingIds(
-        ds_pool + idx.ds_begin, idx.ds_end - idx.ds_begin, terms,
-        (ctx + " distinct subjects").c_str()));
-    ds_cursor = idx.ds_end;
-    if (idx.do_begin != do_cursor || idx.do_end < idx.do_begin ||
-        idx.do_end > meta.distinct_objects) {
-      return Corrupt(ctx + ": distinct object slice does not tile");
-    }
-    REMI_RETURN_NOT_OK(CheckAscendingIds(
-        do_pool + idx.do_begin, idx.do_end - idx.do_begin, terms,
-        (ctx + " distinct objects").c_str()));
-    do_cursor = idx.do_end;
+    REMI_RETURN_NOT_OK(CheckKeyIndex(
+        subj_arrays,
+        {idx.pso_begin, idx.pso_end, idx.s_base, idx.subj_word_begin,
+         idx.subj_word_end, idx.ds_begin, idx.ds_end},
+        terms, ctx + " subject", &subj_cursor_state));
+    REMI_RETURN_NOT_OK(CheckKeyIndex(
+        obj_arrays,
+        {idx.pos_begin, idx.pos_end, idx.o_base, idx.obj_word_begin,
+         idx.obj_word_end, idx.do_begin, idx.do_end},
+        terms, ctx + " object", &obj_cursor_state));
   }
   if (pso_cursor != n || pos_cursor != n ||
-      subj_pool_cursor != meta.subj_off_pool ||
-      obj_pool_cursor != meta.obj_off_pool ||
-      ds_cursor != meta.distinct_subjects ||
-      do_cursor != meta.distinct_objects) {
+      subj_cursor_state.words != meta.subj_key_words ||
+      obj_cursor_state.words != meta.obj_key_words ||
+      subj_cursor_state.distinct != meta.distinct_subjects ||
+      obj_cursor_state.distinct != meta.distinct_objects) {
     return Corrupt("predicate index does not cover all pools");
+  }
+  // The trailing offsets close the last predicate's last run.
+  if (subj_off_pool[meta.distinct_subjects] != n ||
+      obj_off_pool[meta.distinct_objects] != n) {
+    return Corrupt("offset pools do not end at the fact count");
   }
 
   // --- prominence invariants ------------------------------------------------
@@ -678,10 +798,18 @@ Result<KnowledgeBase> SnapshotCodec::Open(std::shared_ptr<MmapFile> backing) {
   store.pred_slot_ = ArrayRef<uint32_t>::View(pred_slot, meta.store_terms);
   store.pred_index_ =
       ArrayRef<PredicateIndex>::View(pred_index, meta.predicates);
+  store.subj_key_bits_ =
+      ArrayRef<uint64_t>::View(subj_key_bits, meta.subj_key_words);
+  store.subj_key_rank_ =
+      ArrayRef<uint32_t>::View(subj_key_rank, meta.subj_key_words);
+  store.obj_key_bits_ =
+      ArrayRef<uint64_t>::View(obj_key_bits, meta.obj_key_words);
+  store.obj_key_rank_ =
+      ArrayRef<uint32_t>::View(obj_key_rank, meta.obj_key_words);
   store.subj_offset_pool_ =
-      ArrayRef<uint32_t>::View(subj_off_pool, meta.subj_off_pool);
+      ArrayRef<uint32_t>::View(subj_off_pool, meta.distinct_subjects + 1);
   store.obj_offset_pool_ =
-      ArrayRef<uint32_t>::View(obj_off_pool, meta.obj_off_pool);
+      ArrayRef<uint32_t>::View(obj_off_pool, meta.distinct_objects + 1);
   store.distinct_subject_pool_ =
       ArrayRef<TermId>::View(ds_pool, meta.distinct_subjects);
   store.distinct_object_pool_ =

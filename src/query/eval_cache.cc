@@ -34,7 +34,7 @@ struct ThreadFront {
     size_t hash = 0;
     uint64_t shard_version = 0;
     SubgraphExpression key;
-    std::shared_ptr<const EntitySet> value;
+    std::shared_ptr<EvalCache::Entry> entry;
   };
 
   uint64_t epoch = 0;
@@ -44,7 +44,7 @@ struct ThreadFront {
     epoch = new_epoch;
     for (Slot& slot : slots) {
       slot.used = false;
-      slot.value.reset();
+      slot.entry.reset();
     }
   }
 
@@ -100,35 +100,37 @@ std::shared_ptr<const EntitySet> EvalCache::Get(const SubgraphExpression& rho) {
       slot.shard_version == shard.version.load(std::memory_order_acquire) &&
       slot.key == rho) {
     front_hits_.fetch_add(1, std::memory_order_relaxed);
-    return slot.value;
+    slot.entry->MarkReused();
+    return slot.entry->set;
   }
 
-  std::shared_ptr<const EntitySet> result;
+  std::shared_ptr<Entry> hit;
   uint64_t version;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto hit = shard.lru.Get(rho)) result = *hit;
+    if (auto found = shard.lru.Get(rho)) hit = std::move(*found);
     version = shard.version.load(std::memory_order_relaxed);
   }
-  if (result != nullptr) {
-    slot.used = true;
-    slot.hash = h;
-    slot.shard_version = version;
-    slot.key = rho;
-    slot.value = result;
-  }
-  return result;
+  if (hit == nullptr) return nullptr;
+  hit->MarkReused();
+  slot.used = true;
+  slot.hash = h;
+  slot.shard_version = version;
+  slot.key = rho;
+  slot.entry = hit;
+  return hit->set;
 }
 
 void EvalCache::Put(const SubgraphExpression& rho,
-                    std::shared_ptr<const EntitySet> value) {
+                    std::shared_ptr<const EntitySet> value, bool reused) {
   if (capacity_ == 0) return;
   const size_t h = SubgraphExpressionHash{}(rho);
   Shard& shard = *shards_[ShardIndexForHash(h)];
+  auto entry = std::make_shared<Entry>(std::move(value), reused);
   uint64_t version;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.Put(rho, value);
+    shard.lru.Put(rho, entry);
     // Bump after the insert: every front entry filled from this shard's
     // earlier state is now suspect (one of them may just have been
     // evicted or replaced).
@@ -143,7 +145,38 @@ void EvalCache::Put(const SubgraphExpression& rho,
   slot.hash = h;
   slot.shard_version = version;
   slot.key = rho;
-  slot.value = std::move(value);
+  slot.entry = std::move(entry);
+}
+
+std::vector<EvalCache::HotKey> EvalCache::HotKeys() const {
+  std::vector<HotKey> hot;
+  std::vector<HotKey> shard_keys;
+  for (const auto& shard : shards_) {
+    shard_keys.clear();
+    size_t reused = 0;
+    {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      shard->lru.ForEachOldestFirst(
+          [&](const SubgraphExpression& key,
+              const std::shared_ptr<Entry>& entry) {
+            const bool r = entry->reused.load(std::memory_order_relaxed);
+            reused += r ? 1 : 0;
+            shard_keys.push_back({key, r});
+          });
+    }
+    // Oldest first: skipping the oldest unreused entries keeps the
+    // `reused` most recent ones.
+    const size_t unreused = shard_keys.size() - reused;
+    size_t skip = unreused > reused ? unreused - reused : 0;
+    for (const HotKey& k : shard_keys) {
+      if (!k.reused && skip > 0) {
+        --skip;
+        continue;
+      }
+      hot.push_back(k);
+    }
+  }
+  return hot;
 }
 
 EvalCacheStats EvalCache::stats() const {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "query/entity_set.h"
@@ -71,8 +72,27 @@ class EvalCache {
   std::shared_ptr<const EntitySet> Get(const SubgraphExpression& rho);
 
   /// Inserts or overwrites; evicts the shard's LRU entry when full.
+  /// `reused` inserts the entry as if it had already served a lookup: a
+  /// prefill that carries a reused entry into a new KB generation keeps
+  /// it reused (see HotKeys).
   void Put(const SubgraphExpression& rho,
-           std::shared_ptr<const EntitySet> value);
+           std::shared_ptr<const EntitySet> value, bool reused = false);
+
+  /// One key of the hot set.
+  struct HotKey {
+    SubgraphExpression key;
+    /// Served at least one lookup (or was put as `reused`).
+    bool reused = false;
+  };
+
+  /// The entries a KB reload re-evaluates on the next generation's cache,
+  /// least recently used first within each shard: every reused entry,
+  /// plus the shard's most recently used other entries, at most as many
+  /// as it has reused ones. Under repeated questions most entries are
+  /// reused and the hot set is about the whole cache; a cache full of
+  /// one-shot entries (batch mining of distinct sets) yields little more
+  /// than its reused ones.
+  std::vector<HotKey> HotKeys() const;
 
   /// Sums shard counters. Takes each shard mutex briefly; the result is a
   /// consistent-per-shard (not globally atomic) snapshot.
@@ -87,11 +107,28 @@ class EvalCache {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
+  /// One cached match set and its reuse mark. Shared by the shard and the
+  /// thread fronts, so a front hit, which skips the shard, still reaches
+  /// the mark.
+  struct Entry {
+    Entry(std::shared_ptr<const EntitySet> set_in, bool reused_in)
+        : set(std::move(set_in)), reused(reused_in) {}
+    /// One relaxed atomic per entry, loaded before it is stored: a hot
+    /// entry's mark is written once, not on every hit.
+    void MarkReused() {
+      if (!reused.load(std::memory_order_relaxed)) {
+        reused.store(true, std::memory_order_relaxed);
+      }
+    }
+    const std::shared_ptr<const EntitySet> set;
+    std::atomic<bool> reused;
+  };
+
  private:
   struct Shard {
     explicit Shard(size_t shard_capacity) : lru(shard_capacity) {}
     std::mutex mu;
-    LruCache<SubgraphExpression, std::shared_ptr<const EntitySet>,
+    LruCache<SubgraphExpression, std::shared_ptr<Entry>,
              SubgraphExpressionHash>
         lru;
     /// Bumped by every Put: thread fronts holding entries of this shard

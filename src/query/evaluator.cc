@@ -55,6 +55,10 @@ std::shared_ptr<const MatchSet> Evaluator::Match(
   return computed;
 }
 
+void Evaluator::Prefill(const SubgraphExpression& rho, bool reused) {
+  cache_->Put(rho, ComputeMatch(rho), reused);
+}
+
 std::shared_ptr<const MatchSet> Evaluator::ComputeMatch(
     const SubgraphExpression& rho) const {
   subgraph_evaluations_.fetch_add(1, std::memory_order_relaxed);

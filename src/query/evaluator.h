@@ -60,6 +60,11 @@ class Evaluator {
   /// Sorted distinct x-bindings of one subgraph expression.
   std::shared_ptr<const MatchSet> Match(const SubgraphExpression& rho);
 
+  /// Computes `rho`'s match set on this evaluator's KB and inserts it into
+  /// the cache with the given reuse mark, without counting a lookup: the
+  /// warm phase of a KB reload (Tenant::Reload).
+  void Prefill(const SubgraphExpression& rho, bool reused);
+
   /// Does entity `e` satisfy `rho`? Short-circuits without computing the
   /// full match set.
   bool Matches(TermId e, const SubgraphExpression& rho) const;

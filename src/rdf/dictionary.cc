@@ -56,6 +56,7 @@ Dictionary::ReverseIndex& Dictionary::EnsureIndex() const {
     for (TermId id = 0; id < size(); ++id) {
       index_->map.emplace(MakeKey(kind(id), lexical(id)), id);
     }
+    index_->built.store(true, std::memory_order_release);
   });
   return *index_;
 }

@@ -16,10 +16,12 @@
 //
 // The reverse index used by Lookup is built lazily on first use, so a
 // snapshot load stays zero-copy until someone actually needs string ->
-// id resolution.
+// id resolution. A server builds it eagerly (BuildIndex) before a KB
+// generation serves, so no request pays for it.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -66,6 +68,15 @@ class Dictionary {
   /// Id of an existing term, or NotFound.
   Result<TermId> Lookup(TermKind kind, std::string_view lexical) const;
 
+  /// Builds the reverse index now instead of under the first Lookup.
+  /// Idempotent and safe to race with concurrent Lookups.
+  void BuildIndex() const { EnsureIndex(); }
+
+  /// True once the reverse index exists (BuildIndex, Lookup or Intern).
+  bool index_built() const {
+    return index_->built.load(std::memory_order_acquire);
+  }
+
   /// A fully owning deep copy (same ids). Copying a view dictionary with
   /// the copy constructor shares the external buffers; use this instead
   /// when the copy must outlive the buffer owner (e.g. extracting the
@@ -98,6 +109,7 @@ class Dictionary {
   /// std::once_flag is neither movable nor copyable.
   struct ReverseIndex {
     std::once_flag once;
+    std::atomic<bool> built{false};
     std::unordered_map<std::string, TermId> map;
   };
 

@@ -1,10 +1,68 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
 
 namespace remi {
+
+namespace {
+
+/// Where one predicate's key index landed in the pools.
+struct KeySlices {
+  uint32_t word_begin = 0;
+  uint32_t word_end = 0;
+  uint32_t distinct_begin = 0;
+  uint32_t distinct_end = 0;
+};
+
+/// One side of the per-predicate key indexes (subjects over PSO, or
+/// objects over POS), filled predicate by predicate in slot order.
+struct KeyPools {
+  std::vector<uint64_t> bits;
+  std::vector<uint32_t> rank;
+  std::vector<uint32_t> offsets;
+  std::vector<TermId> distinct;
+
+  /// Appends the index of one predicate's run [begin, end) of `order`,
+  /// which is sorted by `key` within the run.
+  KeySlices Append(const std::vector<Triple>& order, size_t begin, size_t end,
+                   TermId Triple::*key) {
+    const TermId base = order[begin].*key;
+    const uint64_t words =
+        ((static_cast<uint64_t>(order[end - 1].*key) - base) >> 6) + 1;
+    KeySlices slices;
+    slices.word_begin = static_cast<uint32_t>(bits.size());
+    bits.resize(bits.size() + words, 0);
+    // The pool sums key ranges over all predicates, which is NOT bounded
+    // by the triple count; past 2^32 words the uint32 slice indexes in
+    // PredicateIndex would silently wrap and alias other predicates.
+    REMI_CHECK(bits.size() <= UINT32_MAX);
+    slices.word_end = static_cast<uint32_t>(bits.size());
+    slices.distinct_begin = static_cast<uint32_t>(distinct.size());
+    uint64_t* slice = bits.data() + slices.word_begin;
+    for (size_t k = begin; k < end; ++k) {
+      const TermId id = order[k].*key;
+      if (distinct.size() > slices.distinct_begin && distinct.back() == id) {
+        continue;
+      }
+      distinct.push_back(id);
+      offsets.push_back(static_cast<uint32_t>(k));
+      const uint64_t rel = id - base;
+      slice[rel >> 6] |= uint64_t{1} << (rel & 63);
+    }
+    slices.distinct_end = static_cast<uint32_t>(distinct.size());
+    uint32_t running = slices.distinct_begin;
+    for (uint32_t w = slices.word_begin; w < slices.word_end; ++w) {
+      rank.push_back(running);
+      running += static_cast<uint32_t>(std::popcount(bits[w]));
+    }
+    return slices;
+  }
+};
+
+}  // namespace
 
 TripleStore TripleStore::Build(std::vector<Triple> triples) {
   TripleStore store;
@@ -36,16 +94,14 @@ TripleStore TripleStore::Build(std::vector<Triple> triples) {
   }
 
   // Per-predicate adjacency. pso and pos hold each predicate's facts
-  // contiguously; one pass over each ordering fills the offset tables.
-  // All per-predicate arrays are slices of four shared pools so the
-  // whole index round-trips through snapshots as a handful of flat
-  // arrays (and Build does O(#predicates) fewer allocations).
+  // contiguously; one pass over each ordering fills the key indexes. All
+  // per-predicate arrays are slices of shared pools so the whole index
+  // round-trips through snapshots as a handful of flat arrays (and Build
+  // does O(#predicates) fewer allocations).
   std::vector<uint32_t> pred_slot(store.num_terms_, kNoSlot);
   std::vector<PredicateIndex> pred_index;
-  std::vector<uint32_t> subj_offset_pool;
-  std::vector<uint32_t> obj_offset_pool;
-  std::vector<TermId> distinct_subject_pool;
-  std::vector<TermId> distinct_object_pool;
+  KeyPools subj;
+  KeyPools obj;
 
   for (size_t i = 0; i < pso.size();) {
     const TermId p = pso[i].p;
@@ -56,32 +112,11 @@ TripleStore TripleStore::Build(std::vector<Triple> triples) {
     index.pso_begin = static_cast<uint32_t>(i);
     index.pso_end = static_cast<uint32_t>(j);
     index.s_base = pso[i].s;
-    const TermId s_max = pso[j - 1].s;
-
-    index.subj_off_begin = static_cast<uint32_t>(subj_offset_pool.size());
-    subj_offset_pool.resize(subj_offset_pool.size() +
-                                (s_max - index.s_base) + 2,
-                            0);
-    // The pool sums key ranges over all predicates, which is NOT bounded
-    // by the triple count; past 2^32 entries the uint32 slice indexes in
-    // PredicateIndex would silently wrap and alias other predicates.
-    REMI_CHECK(subj_offset_pool.size() <= UINT32_MAX);
-    index.subj_off_end = static_cast<uint32_t>(subj_offset_pool.size());
-    uint32_t* counts = subj_offset_pool.data() + index.subj_off_begin;
-    index.ds_begin = static_cast<uint32_t>(distinct_subject_pool.size());
-    for (size_t k = i; k < j; ++k) {
-      ++counts[pso[k].s - index.s_base + 1];
-      if (distinct_subject_pool.size() == index.ds_begin ||
-          distinct_subject_pool.back() != pso[k].s) {
-        distinct_subject_pool.push_back(pso[k].s);
-      }
-    }
-    index.ds_end = static_cast<uint32_t>(distinct_subject_pool.size());
-    uint32_t running = index.pso_begin;
-    for (uint32_t k = index.subj_off_begin; k < index.subj_off_end; ++k) {
-      running += subj_offset_pool[k];
-      subj_offset_pool[k] = running;
-    }
+    const KeySlices slices = subj.Append(pso, i, j, &Triple::s);
+    index.subj_word_begin = slices.word_begin;
+    index.subj_word_end = slices.word_end;
+    index.ds_begin = slices.distinct_begin;
+    index.ds_end = slices.distinct_end;
 
     store.predicates_.push_back(p);
     pred_slot[p] = static_cast<uint32_t>(pred_index.size());
@@ -97,30 +132,16 @@ TripleStore TripleStore::Build(std::vector<Triple> triples) {
     index.pos_begin = static_cast<uint32_t>(i);
     index.pos_end = static_cast<uint32_t>(j);
     index.o_base = pos[i].o;
-    const TermId o_max = pos[j - 1].o;
-
-    index.obj_off_begin = static_cast<uint32_t>(obj_offset_pool.size());
-    obj_offset_pool.resize(obj_offset_pool.size() + (o_max - index.o_base) + 2,
-                           0);
-    REMI_CHECK(obj_offset_pool.size() <= UINT32_MAX);
-    index.obj_off_end = static_cast<uint32_t>(obj_offset_pool.size());
-    uint32_t* counts = obj_offset_pool.data() + index.obj_off_begin;
-    index.do_begin = static_cast<uint32_t>(distinct_object_pool.size());
-    for (size_t k = i; k < j; ++k) {
-      ++counts[pos[k].o - index.o_base + 1];
-      if (distinct_object_pool.size() == index.do_begin ||
-          distinct_object_pool.back() != pos[k].o) {
-        distinct_object_pool.push_back(pos[k].o);
-      }
-    }
-    index.do_end = static_cast<uint32_t>(distinct_object_pool.size());
-    uint32_t running = index.pos_begin;
-    for (uint32_t k = index.obj_off_begin; k < index.obj_off_end; ++k) {
-      running += obj_offset_pool[k];
-      obj_offset_pool[k] = running;
-    }
+    const KeySlices slices = obj.Append(pos, i, j, &Triple::o);
+    index.obj_word_begin = slices.word_begin;
+    index.obj_word_end = slices.word_end;
+    index.do_begin = slices.distinct_begin;
+    index.do_end = slices.distinct_end;
     i = j;
   }
+  // The trailing offset: the last predicate's last run ends at size().
+  subj.offsets.push_back(static_cast<uint32_t>(pso.size()));
+  obj.offsets.push_back(static_cast<uint32_t>(pos.size()));
 
   store.spo_ = std::move(triples);
   store.pso_ = std::move(pso);
@@ -128,10 +149,14 @@ TripleStore TripleStore::Build(std::vector<Triple> triples) {
   store.subject_offsets_ = std::move(subject_offsets);
   store.pred_slot_ = std::move(pred_slot);
   store.pred_index_ = std::move(pred_index);
-  store.subj_offset_pool_ = std::move(subj_offset_pool);
-  store.obj_offset_pool_ = std::move(obj_offset_pool);
-  store.distinct_subject_pool_ = std::move(distinct_subject_pool);
-  store.distinct_object_pool_ = std::move(distinct_object_pool);
+  store.subj_key_bits_ = std::move(subj.bits);
+  store.subj_key_rank_ = std::move(subj.rank);
+  store.obj_key_bits_ = std::move(obj.bits);
+  store.obj_key_rank_ = std::move(obj.rank);
+  store.subj_offset_pool_ = std::move(subj.offsets);
+  store.obj_offset_pool_ = std::move(obj.offsets);
+  store.distinct_subject_pool_ = std::move(subj.distinct);
+  store.distinct_object_pool_ = std::move(obj.distinct);
   return store;
 }
 
@@ -161,14 +186,27 @@ std::span<const Triple> TripleStore::ByPredicateObjectOrder(TermId p) const {
           static_cast<size_t>(index->pos_end - index->pos_begin)};
 }
 
+uint32_t TripleStore::KeyRank(const ArrayRef<uint64_t>& bits,
+                              const ArrayRef<uint32_t>& rank,
+                              uint32_t word_begin, uint32_t word_end,
+                              uint64_t rel) {
+  const uint64_t word = word_begin + (rel >> 6);
+  if (word >= word_end) return kNoSlot;
+  const uint64_t w = bits[word];
+  const uint64_t bit = uint64_t{1} << (rel & 63);
+  if ((w & bit) == 0) return kNoSlot;
+  return rank[word] + static_cast<uint32_t>(std::popcount(w & (bit - 1)));
+}
+
 std::span<const Triple> TripleStore::ByPredicateSubject(TermId p,
                                                         TermId s) const {
   const PredicateIndex* index = FindPredicate(p);
   if (index == nullptr || s < index->s_base) return {};
-  const uint64_t rel = static_cast<uint64_t>(s) - index->s_base;
-  if (rel + 1 >= index->subj_off_end - index->subj_off_begin) return {};
-  const uint32_t* offsets =
-      subj_offset_pool_.data() + index->subj_off_begin + rel;
+  const uint32_t k = KeyRank(subj_key_bits_, subj_key_rank_,
+                             index->subj_word_begin, index->subj_word_end,
+                             s - index->s_base);
+  if (k == kNoSlot) return {};
+  const uint32_t* offsets = subj_offset_pool_.data() + k;
   return {pso_.data() + offsets[0],
           static_cast<size_t>(offsets[1] - offsets[0])};
 }
@@ -177,10 +215,11 @@ std::span<const Triple> TripleStore::ByPredicateObject(TermId p,
                                                        TermId o) const {
   const PredicateIndex* index = FindPredicate(p);
   if (index == nullptr || o < index->o_base) return {};
-  const uint64_t rel = static_cast<uint64_t>(o) - index->o_base;
-  if (rel + 1 >= index->obj_off_end - index->obj_off_begin) return {};
-  const uint32_t* offsets =
-      obj_offset_pool_.data() + index->obj_off_begin + rel;
+  const uint32_t k = KeyRank(obj_key_bits_, obj_key_rank_,
+                             index->obj_word_begin, index->obj_word_end,
+                             o - index->o_base);
+  if (k == kNoSlot) return {};
+  const uint32_t* offsets = obj_offset_pool_.data() + k;
   return {pos_.data() + offsets[0],
           static_cast<size_t>(offsets[1] - offsets[0])};
 }

@@ -13,15 +13,19 @@
 //     lookups ByPredicateSubject / ByPredicateObject are O(1) + span,
 //     with per-key degrees available for free as offset differences.
 //
-// Per-predicate offset tables span [min_key, max_key] of the keys that
-// actually occur under that predicate, so memory stays proportional to the
-// occupied id range rather than the whole dictionary.
+// A per-predicate offset table holds one entry per key that occurs under
+// the predicate, not one per id in [min_key, max_key]: a rank bitmap over
+// the key range (1 bit per id plus one u32 prefix count per 64-bit word)
+// maps a key to its rank among the predicate's distinct keys, and the rank
+// indexes the offsets. Sparse predicates over a wide id range thus cost
+// 1.5 bits per id instead of 32.
 //
 // Storage comes in two modes sharing this one read path: Build constructs
 // owning arrays in memory; an RKF2 snapshot load adopts the same arrays as
 // views over the mapped file (see ArrayRef). To keep that possible, every
-// per-predicate offset/distinct list lives in four flat pools indexed by a
-// fixed-layout PredicateIndex record rather than in per-predicate vectors.
+// per-predicate bitmap/offset/distinct list lives in flat pools indexed by
+// a fixed-layout PredicateIndex record rather than in per-predicate
+// vectors.
 
 #pragma once
 
@@ -115,24 +119,26 @@ class TripleStore {
 
  private:
   /// Per-predicate adjacency record: the predicate's contiguous ranges in
-  /// pso_/pos_ plus its slices of the four flat pools. Fixed-layout POD so
-  /// the whole pred_index_ array round-trips through RKF2 snapshots
-  /// verbatim; every field is an absolute index into its pool/ordering.
+  /// pso_/pos_ plus its slices of the flat pools. Fixed-layout POD so the
+  /// whole pred_index_ array round-trips through RKF2 snapshots verbatim;
+  /// every field is an absolute index into its pool/ordering.
   struct PredicateIndex {
     uint32_t pso_begin = 0;
     uint32_t pso_end = 0;
     uint32_t pos_begin = 0;
     uint32_t pos_end = 0;
+    /// Smallest subject/object under the predicate: bit 0 of its bitmap.
     TermId s_base = 0;
     TermId o_base = 0;
-    /// Slice of subj_offset_pool_; values are absolute offsets into pso_.
-    /// Length = (max subject - s_base) + 2.
-    uint32_t subj_off_begin = 0;
-    uint32_t subj_off_end = 0;
-    /// Slice of obj_offset_pool_; values are absolute offsets into pos_.
-    uint32_t obj_off_begin = 0;
-    uint32_t obj_off_end = 0;
-    /// Slices of the distinct subject/object pools.
+    /// Slice of subj_key_bits_ / subj_key_rank_: (max subject - s_base)
+    /// / 64 + 1 words.
+    uint32_t subj_word_begin = 0;
+    uint32_t subj_word_end = 0;
+    /// Slice of obj_key_bits_ / obj_key_rank_.
+    uint32_t obj_word_begin = 0;
+    uint32_t obj_word_end = 0;
+    /// Slices of the distinct subject/object pools. The same indexes
+    /// address subj_offset_pool_ / obj_offset_pool_.
     uint32_t ds_begin = 0;
     uint32_t ds_end = 0;
     uint32_t do_begin = 0;
@@ -148,6 +154,13 @@ class TripleStore {
     if (p >= pred_slot_.size() || pred_slot_[p] == kNoSlot) return nullptr;
     return &pred_index_[pred_slot_[p]];
   }
+
+  /// Rank of key `rel` (an id minus the predicate's base) in the bitmap
+  /// slice [word_begin, word_end): its absolute index in the distinct
+  /// pool, or kNoSlot when the key does not occur.
+  static uint32_t KeyRank(const ArrayRef<uint64_t>& bits,
+                          const ArrayRef<uint32_t>& rank, uint32_t word_begin,
+                          uint32_t word_end, uint64_t rel);
 
   /// The RKF2 snapshot codec serializes and reconstitutes the raw arrays.
   friend struct SnapshotCodec;
@@ -166,6 +179,18 @@ class TripleStore {
   ArrayRef<uint32_t> pred_slot_;
   ArrayRef<PredicateIndex> pred_index_;
   /// Flat pools backing the per-predicate slices in pred_index_.
+  /// Rank bitmaps: bit (s - s_base) of a predicate's word slice is set iff
+  /// s is one of its subjects; the parallel rank array holds, per word,
+  /// the distinct-pool index of the first key at or after that word.
+  ArrayRef<uint64_t> subj_key_bits_;
+  ArrayRef<uint32_t> subj_key_rank_;
+  ArrayRef<uint64_t> obj_key_bits_;
+  ArrayRef<uint32_t> obj_key_rank_;
+  /// Parallel to the distinct pools plus one trailing entry: the start of
+  /// each (predicate, key) run in pso_ / pos_. A run ends where the next
+  /// one starts, since the predicates' runs are laid out in the same slot
+  /// order in the pools and in the orderings; the trailing entry is
+  /// size().
   ArrayRef<uint32_t> subj_offset_pool_;
   ArrayRef<uint32_t> obj_offset_pool_;
   ArrayRef<TermId> distinct_subject_pool_;

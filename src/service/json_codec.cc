@@ -418,6 +418,9 @@ JsonValue ReloadKbResponseToJson(const ReloadKbResponse& response) {
                 static_cast<double>(response.parse_skipped_lines)));
   }
   out.Set("load_seconds", JsonValue::Number(response.load_seconds));
+  out.Set("warm_seconds", JsonValue::Number(response.warm_seconds));
+  out.Set("warmed_entries",
+          JsonValue::Number(static_cast<double>(response.warmed_entries)));
   return out;
 }
 

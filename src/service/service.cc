@@ -32,8 +32,8 @@ Service::Service(LoadedKb loaded, const ServiceOptions& options)
   }
   const TenantQuota default_quota{options_.tenant_max_in_flight,
                                   options_.tenant_max_queued};
-  registry_ = std::make_unique<TenantRegistry>(options_.mining, default_quota,
-                                               live_epochs_);
+  registry_ = std::make_unique<TenantRegistry>(
+      options_.mining, pool_.get(), default_quota, live_epochs_);
   registry_->InitDefault(std::move(loaded.kb), loaded.parse_skipped_lines);
   default_tenant_ = registry_->DefaultTenant();
 }
@@ -383,23 +383,6 @@ void Service::RecordConnectionReaped(bool write_stall) {
 
 // --- target resolution -------------------------------------------------------
 
-void Service::EnsureNameIndex(const KbEpoch& epoch) {
-  std::call_once(epoch.name_index_once, [&epoch] {
-    epoch.name_index.reserve(epoch.kb.NumEntities());
-    for (TermId id = 0; id < epoch.kb.dict().size(); ++id) {
-      if (epoch.kb.dict().kind(id) != TermKind::kIri) continue;
-      if (!epoch.kb.IsEntity(id)) continue;
-      const std::string_view lex = epoch.kb.dict().lexical(id);
-      const size_t cut = lex.find_last_of("/#");
-      const std::string_view local =
-          cut == std::string_view::npos ? lex : lex.substr(cut + 1);
-      auto [it, inserted] =
-          epoch.name_index.emplace(local, std::make_pair(id, 1u));
-      if (!inserted) ++it->second.second;
-    }
-  });
-}
-
 Result<TermId> Service::ResolveTargetIn(const KbEpoch& epoch,
                                         const std::string& name) {
   // The exact-IRI path enforces the same entity contract as the suffix
@@ -411,7 +394,6 @@ Result<TermId> Service::ResolveTargetIn(const KbEpoch& epoch,
   if (name.find_first_of("/#") == std::string::npos) {
     // A separator-free name can only match as a whole IRI local name:
     // answered by the O(1) index instead of a dictionary scan.
-    EnsureNameIndex(epoch);
     const auto it = epoch.name_index.find(name);
     if (it != epoch.name_index.end()) {
       match = it->second.first;
@@ -548,8 +530,7 @@ Result<MineResponse> Service::Mine(const MineRequest& request) {
     service_stats.resolve_seconds = resolve_timer.ElapsedSeconds();
 
     RemiMiner* miner =
-        tenant->MinerFor(*epoch, request.cost, request.enumerator,
-                         pool_.get());
+        tenant->MinerFor(*epoch, request.cost, request.enumerator);
     MineControl control;
     control.deadline = deadline;
     control.cancel = request.control.cancel;
@@ -614,8 +595,7 @@ Result<BatchMineResponse> Service::BatchMine(const BatchMineRequest& request) {
     response.service.resolve_seconds = resolve_timer.ElapsedSeconds();
 
     RemiMiner* miner =
-        tenant->MinerFor(*epoch, request.cost, request.enumerator,
-                         pool_.get());
+        tenant->MinerFor(*epoch, request.cost, request.enumerator);
     MineControl control;
     control.deadline = deadline;
     control.cancel = request.control.cancel;
@@ -693,7 +673,7 @@ Result<SummarizeResponse> Service::Summarize(const SummarizeRequest& request) {
     // Table 3 protocol: standard language, no rdf:type, no inverses.
     const RemiOptions table3 = MakeTable3RemiOptions(request.metric);
     RemiMiner* miner =
-        tenant->MinerFor(*epoch, table3.cost, table3.enumerator, pool_.get());
+        tenant->MinerFor(*epoch, table3.cost, table3.enumerator);
     MineControl control;
     control.deadline = deadline;
     control.cancel = request.control.cancel;
@@ -735,7 +715,7 @@ Result<std::vector<RankedSubgraph>> Service::Candidates(
   REMI_ASSIGN_OR_RETURN(const std::vector<TermId> targets,
                         ResolveTargetsIn(*epoch, request.targets));
   RemiMiner* miner =
-      tenant->MinerFor(*epoch, request.cost, request.enumerator, pool_.get());
+      tenant->MinerFor(*epoch, request.cost, request.enumerator);
   MineControl control;
   control.deadline = DeadlineFor(request.control);
   control.cancel = request.control.cancel;

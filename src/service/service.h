@@ -38,7 +38,9 @@
 //     returns — so a concurrent ReloadKb can never change a request's
 //     results mid-flight (byte-identical to a no-reload run).
 //   * ReloadKb opens and fully validates a candidate KB *off the serving
-//     path* and only then publishes it as that tenant's generation N+1.
+//     path*, builds its indexes and re-evaluates generation N's hot match
+//     sets on it, and only then publishes it as that tenant's generation
+//     N+1.
 //     A corrupt, truncated, or invariant-violating image fails closed:
 //     the response carries an in-band Corruption/ParseError/IoError
 //     status and the tenant keeps serving generation N. No reload ever
@@ -490,7 +492,6 @@ class Service {
                const CancellationToken& cancel, double* queue_wait_seconds);
   void Release(Tenant& tenant);
 
-  static void EnsureNameIndex(const KbEpoch& epoch);
   static Result<TermId> ResolveTargetIn(const KbEpoch& epoch,
                                         const std::string& name);
   static Result<std::vector<TermId>> ResolveTargetsIn(const KbEpoch& epoch,

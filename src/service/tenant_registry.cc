@@ -46,6 +46,77 @@ std::string VariantKey(const CostModelOptions& cost,
   return key;
 }
 
+/// IRI local name -> (entity id, entities sharing the name) over every
+/// entity of `kb` (see KbEpoch::name_index).
+std::unordered_map<std::string_view, std::pair<TermId, uint32_t>>
+BuildNameIndex(const KnowledgeBase& kb) {
+  std::unordered_map<std::string_view, std::pair<TermId, uint32_t>> index;
+  index.reserve(kb.NumEntities());
+  for (TermId id = 0; id < kb.dict().size(); ++id) {
+    if (kb.dict().kind(id) != TermKind::kIri) continue;
+    if (!kb.IsEntity(id)) continue;
+    const std::string_view lex = kb.dict().lexical(id);
+    const size_t cut = lex.find_last_of("/#");
+    const std::string_view local =
+        cut == std::string_view::npos ? lex : lex.substr(cut + 1);
+    auto [it, inserted] = index.emplace(local, std::make_pair(id, 1u));
+    if (!inserted) ++it->second.second;
+  }
+  return index;
+}
+
+/// `id` of `from` as an id of `to`, through its lexical form; kNullTerm
+/// passes through. False when the term is missing from `to`.
+bool TranslateTerm(const Dictionary& from, const Dictionary& to, TermId id,
+                   TermId* out) {
+  // A term is stored once per dictionary, so if `to` holds the same term
+  // at the same id (a reload of an unchanged KB), that is its id; no hash
+  // lookup needed.
+  if (id == kNullTerm || (id < to.size() && to.kind(id) == from.kind(id) &&
+                          to.lexical(id) == from.lexical(id))) {
+    *out = id;
+    return true;
+  }
+  auto found = to.Lookup(from.kind(id), from.lexical(id));
+  if (!found.ok()) return false;
+  *out = *found;
+  return true;
+}
+
+/// The warm phase of a reload: re-evaluates on `next` the hot set of
+/// `prev`'s cache (EvalCache::HotKeys), least recently used first, and
+/// inserts it into `next`'s cache with each entry's reuse mark (so a
+/// second reload carries the reused entries again). `miner` is `next`'s
+/// default miner: each entry's Ĉ is computed on it too, which builds the
+/// rankings its queue costing will need. Keys are translated through the
+/// terms' lexical forms, since ids may shift between generations; a key
+/// with a term missing from `next` is dropped. Match sets are computed
+/// on `next`, never copied across generations. Returns the number of
+/// entries warmed.
+size_t WarmEpoch(const KbEpoch& prev, const KbEpoch& next,
+                 const RemiMiner& miner) {
+  const Dictionary& from = prev.kb.dict();
+  const Dictionary& to = next.kb.dict();
+  size_t warmed = 0;
+  for (const auto& [old_key, reused] : prev.eval_cache->HotKeys()) {
+    SubgraphExpression key = old_key;
+    if (!TranslateTerm(from, to, old_key.p0, &key.p0) ||
+        !TranslateTerm(from, to, old_key.p1, &key.p1) ||
+        !TranslateTerm(from, to, old_key.p2, &key.p2) ||
+        !TranslateTerm(from, to, old_key.c1, &key.c1) ||
+        !TranslateTerm(from, to, old_key.c2, &key.c2)) {
+      continue;
+    }
+    // The canonical order of star legs and closed-shape predicates
+    // follows the ids, which may have moved.
+    key.Normalize();
+    miner.evaluator()->Prefill(key, reused);
+    miner.cost_model().SubgraphCost(key);
+    ++warmed;
+  }
+  return warmed;
+}
+
 }  // namespace
 
 Result<LoadedKb> LoadKbFromSpec(const KbSpec& spec) {
@@ -86,12 +157,16 @@ Result<LoadedKb> LoadKbFromSpec(const KbSpec& spec) {
 // --- KbEpoch -----------------------------------------------------------------
 
 KbEpoch::KbEpoch(KnowledgeBase kb_in, uint64_t generation_in,
-                 const RemiOptions& mining,
+                 const RemiOptions& mining, ThreadPool* pool,
                  std::shared_ptr<std::atomic<size_t>> live_epochs_in)
     : kb(std::move(kb_in)),
       generation(generation_in),
       eval_cache(std::make_shared<EvalCache>(mining.eval_cache_capacity)),
+      name_index(BuildNameIndex(kb)),
       live_epochs(std::move(live_epochs_in)) {
+  kb.dict().BuildIndex();
+  miners.emplace(VariantKey(mining.cost, mining.enumerator),
+                 std::make_unique<RemiMiner>(&kb, mining, pool, eval_cache));
   live_epochs->fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -190,16 +265,18 @@ Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json) {
 
 // --- Tenant ------------------------------------------------------------------
 
-Tenant::Tenant(std::string name, const RemiOptions& mining, TenantQuota quota,
+Tenant::Tenant(std::string name, const RemiOptions& mining, ThreadPool* pool,
+               TenantQuota quota,
                std::shared_ptr<std::atomic<size_t>> live_epochs)
     : name_(std::move(name)),
       mining_(mining),
+      pool_(pool),
       quota_(quota),
       live_epochs_(std::move(live_epochs)) {}
 
 void Tenant::PublishInitial(KnowledgeBase kb, size_t parse_skipped_lines) {
   auto epoch = std::make_shared<KbEpoch>(std::move(kb), /*generation=*/1,
-                                         mining_, live_epochs_);
+                                         mining_, pool_, live_epochs_);
   epoch->parse_skipped_lines = parse_skipped_lines;
   std::lock_guard<std::mutex> lock(epoch_mu_);
   epoch_ = std::move(epoch);
@@ -233,16 +310,24 @@ ReloadKbResponse Tenant::Reload(const KbSpec& spec) {
     response.parse_skipped_lines = serving->parse_skipped_lines;
     return response;
   }
-  std::shared_ptr<KbEpoch> next;
+  // Build and warm the candidate off every lock the serving path takes;
+  // requests keep pinning `serving` meanwhile. Only Reload replaces
+  // epoch_ after the first publish, and reload_mu_ is held, so `serving`
+  // stays the serving epoch until the swap below.
+  Timer warm_timer;
+  std::shared_ptr<KbEpoch> serving = CurrentEpoch();
+  auto next = std::make_shared<KbEpoch>(std::move(loaded->kb),
+                                        serving->generation + 1, mining_,
+                                        pool_, live_epochs_);
+  next->parse_skipped_lines = loaded->parse_skipped_lines;
+  response.warmed_entries = WarmEpoch(
+      *serving, *next, *MinerFor(*next, std::nullopt, std::nullopt));
+  response.warm_seconds = warm_timer.ElapsedSeconds();
   {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    next = std::make_shared<KbEpoch>(std::move(loaded->kb),
-                                     epoch_->generation + 1, mining_,
-                                     live_epochs_);
-    next->parse_skipped_lines = loaded->parse_skipped_lines;
     // Publish. The displaced epoch lives on until its last pinned request
     // releases it (shared_ptr count is the drain counter) and takes its
     // EvalCache and miners with it — stale entries die with their epoch.
+    std::lock_guard<std::mutex> lock(epoch_mu_);
     epoch_ = next;
   }
   ledger_->Add(&RequestLedger::reloads_ok);
@@ -254,10 +339,9 @@ ReloadKbResponse Tenant::Reload(const KbSpec& spec) {
   return response;
 }
 
-RemiMiner* Tenant::MinerFor(const KbEpoch& epoch,
-                            const std::optional<CostModelOptions>& cost,
-                            const std::optional<EnumeratorOptions>& enumerator,
-                            ThreadPool* pool) const {
+RemiMiner* Tenant::MinerFor(
+    const KbEpoch& epoch, const std::optional<CostModelOptions>& cost,
+    const std::optional<EnumeratorOptions>& enumerator) const {
   RemiOptions variant = mining_;
   if (cost.has_value()) variant.cost = *cost;
   if (enumerator.has_value()) variant.enumerator = *enumerator;
@@ -273,7 +357,7 @@ RemiMiner* Tenant::MinerFor(const KbEpoch& epoch,
   // already-built) variants. Two racing builders of the same variant
   // just discard one result. The miner points into this epoch's KB and
   // cache only — the caller's epoch pin keeps both alive.
-  auto built = std::make_unique<RemiMiner>(&epoch.kb, variant, pool,
+  auto built = std::make_unique<RemiMiner>(&epoch.kb, variant, pool_,
                                            epoch.eval_cache);
   std::lock_guard<std::mutex> lock(epoch.miners_mu);
   auto [it, inserted] = epoch.miners.emplace(key, std::move(built));
@@ -305,16 +389,17 @@ TenantCounters Tenant::counters() const {
 
 // --- TenantRegistry ----------------------------------------------------------
 
-TenantRegistry::TenantRegistry(const RemiOptions& mining,
+TenantRegistry::TenantRegistry(const RemiOptions& mining, ThreadPool* pool,
                                TenantQuota default_quota,
                                std::shared_ptr<std::atomic<size_t>> live_epochs)
     : mining_(mining),
+      pool_(pool),
       default_quota_(default_quota),
       live_epochs_(std::move(live_epochs)) {}
 
 void TenantRegistry::InitDefault(KnowledgeBase kb,
                                  size_t parse_skipped_lines) {
-  auto tenant = std::make_shared<Tenant>(std::string(), mining_,
+  auto tenant = std::make_shared<Tenant>(std::string(), mining_, pool_,
                                          default_quota_, live_epochs_);
   tenant->PublishInitial(std::move(kb), parse_skipped_lines);
   std::lock_guard<std::mutex> lock(mu_);
@@ -346,9 +431,16 @@ Result<std::shared_ptr<Tenant>> TenantRegistry::Resolve(
     const CatalogEntry entry = cat->second;
     loading_.insert(name);
     lock.unlock();
-    // The load (parse/mmap/validate) runs off-lock: other tenants keep
-    // resolving and serving while this one opens.
+    // The load (parse/mmap/validate) and the epoch build run off-lock:
+    // other tenants keep resolving and serving while this one opens.
     auto loaded = LoadKbFromSpec(entry.spec);
+    std::shared_ptr<Tenant> tenant;
+    if (loaded.ok()) {
+      tenant = std::make_shared<Tenant>(name, mining_, pool_, entry.quota,
+                                        live_epochs_);
+      tenant->PublishInitial(std::move(loaded->kb),
+                             loaded->parse_skipped_lines);
+    }
     lock.lock();
     loading_.erase(name);
     loading_cv_.notify_all();
@@ -357,10 +449,6 @@ Result<std::shared_ptr<Tenant>> TenantRegistry::Resolve(
       // transient IO error doesn't permanently kill the name.
       return WithMessagePrefix(loaded.status(), "kb '" + name + "'");
     }
-    auto tenant = std::make_shared<Tenant>(name, mining_, entry.quota,
-                                           live_epochs_);
-    tenant->PublishInitial(std::move(loaded->kb),
-                           loaded->parse_skipped_lines);
     tenants_.emplace(name, tenant);
     return tenant;
   }
@@ -395,15 +483,20 @@ Status TenantRegistry::Attach(const std::string& name, const KbSpec& spec,
     loading_.insert(name);
   }
   auto loaded = LoadKbFromSpec(spec);
+  std::shared_ptr<Tenant> tenant;
+  if (loaded.ok()) {
+    tenant = std::make_shared<Tenant>(name, mining_, pool_,
+                                      quota.value_or(default_quota_),
+                                      live_epochs_);
+    tenant->PublishInitial(std::move(loaded->kb),
+                           loaded->parse_skipped_lines);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   loading_.erase(name);
   loading_cv_.notify_all();
   if (!loaded.ok()) {
     return WithMessagePrefix(loaded.status(), "kb '" + name + "'");
   }
-  auto tenant = std::make_shared<Tenant>(
-      name, mining_, quota.value_or(default_quota_), live_epochs_);
-  tenant->PublishInitial(std::move(loaded->kb), loaded->parse_skipped_lines);
   tenants_.emplace(name, std::move(tenant));
   return Status::OK();
 }
@@ -415,7 +508,7 @@ Status TenantRegistry::AttachKb(const std::string& name, KnowledgeBase kb,
         "the default kb \"\" always exists and cannot be attached");
   }
   auto tenant = std::make_shared<Tenant>(
-      name, mining_, quota.value_or(default_quota_), live_epochs_);
+      name, mining_, pool_, quota.value_or(default_quota_), live_epochs_);
   tenant->PublishInitial(std::move(kb), 0);
   std::lock_guard<std::mutex> lock(mu_);
   if (tenants_.count(name) > 0 || loading_.count(name) > 0 ||

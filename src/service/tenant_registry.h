@@ -5,12 +5,11 @@
 // validated snapshot as generation N+1, and retired generations drain by
 // shared_ptr count. This header generalizes that object to many *named*
 // tenants: each tenant owns its own epoch chain (KbEpoch = KB + per-
-// generation EvalCache + lazily built variant miners + lexical name
-// index — exactly the PR 7 object, now one chain per name), its own
-// generation counter, its own reload serialization, and its own request
-// counters. The registry resolves names to tenants, lazily opens tenants
-// from a KbSpec catalog on first use, and attaches/detaches tenants at
-// runtime.
+// generation EvalCache + variant miners + lexical name index — exactly
+// that single-KB object, now one chain per name), its own generation
+// counter, its own reload serialization, and its own request counters.
+// The registry resolves names to tenants, lazily opens tenants from a
+// KbSpec catalog on first use, and attaches/detaches tenants at runtime.
 //
 // Division of labor with Service (service.h):
 //   * TenantRegistry owns *lifecycle*: name -> Tenant resolution, catalog
@@ -89,14 +88,22 @@ Result<LoadedKb> LoadKbFromSpec(const KbSpec& spec);
 
 /// \brief One KB generation and everything whose lifetime must match it:
 /// the per-generation match-set cache (so stale entries die with their
-/// epoch), the lazily built variant miners (they hold raw pointers into
-/// `kb`), and the lazily built lexical name index (its keys are views
-/// into `kb`'s dictionary storage). Published epochs are structurally
-/// immutable; the mutable members below are internal lazy caches with
-/// their own synchronization.
+/// epoch), the variant miners (they hold raw pointers into `kb`), and the
+/// lexical name index (its keys are views into `kb`'s dictionary
+/// storage).
+///
+/// The constructor builds everything a request would otherwise build
+/// lazily: the dictionary's reverse index, the name index and the miner
+/// of the default variant. An epoch is therefore warm before it is
+/// published, whether by a first open, a lazy catalog open, an attach or
+/// a reload. Published epochs are structurally immutable; the miner map
+/// is the one internal cache left (other variants are built on first use
+/// under miners_mu).
 struct KbEpoch {
+  /// \param pool the Service's shared dispatch pool (may be null); the
+  ///        default miner runs on it.
   KbEpoch(KnowledgeBase kb_in, uint64_t generation_in,
-          const RemiOptions& mining,
+          const RemiOptions& mining, ThreadPool* pool,
           std::shared_ptr<std::atomic<size_t>> live_epochs_in);
   ~KbEpoch();
   KbEpoch(const KbEpoch&) = delete;
@@ -109,19 +116,17 @@ struct KbEpoch {
   /// cross into) another generation's KB.
   std::shared_ptr<EvalCache> eval_cache;
 
-  /// The miner for a cost/bias variant, created on first use. All
-  /// variant miners of one epoch share the service pool and this
-  /// epoch's cache.
+  /// The miner for a cost/bias variant; the default variant's is built
+  /// by the constructor, the others on first use. All variant miners of
+  /// one epoch share the service pool and this epoch's cache.
   mutable std::mutex miners_mu;
   mutable std::map<std::string, std::unique_ptr<RemiMiner>> miners;
 
-  /// Built once on first suffix resolution: IRI local name (after the
-  /// last '/' or '#') -> (entity id, number of entities sharing the
-  /// name). Keys are views into this epoch's dictionary storage. Makes
-  /// the common "Paris"-style lookup O(1) instead of a full dictionary
-  /// scan per request on the serving path.
-  mutable std::once_flag name_index_once;
-  mutable std::unordered_map<std::string_view, std::pair<TermId, uint32_t>>
+  /// IRI local name (after the last '/' or '#') -> (entity id, number of
+  /// entities sharing the name), built by the constructor. Keys are views
+  /// into this epoch's dictionary storage. Makes the common "Paris"-style
+  /// lookup O(1) instead of a full dictionary scan per request.
+  const std::unordered_map<std::string_view, std::pair<TermId, uint32_t>>
       name_index;
 
   /// Shared live-epoch gauge (ServiceCounters::active_generations /
@@ -250,6 +255,14 @@ struct ReloadKbResponse {
   size_t parse_skipped_lines = 0;
   /// Open + validate time of the candidate (even when rejected).
   double load_seconds = 0.0;
+  /// Time between the open and the publish: building the candidate's
+  /// indexes and default miner, then re-evaluating the serving
+  /// generation's hot match sets on it. 0 when rejected.
+  double warm_seconds = 0.0;
+  /// Match sets re-evaluated into the new generation's cache: the
+  /// serving generation's hot set (EvalCache::HotKeys) less the entries
+  /// with a term missing from the new KB.
+  size_t warmed_entries = 0;
 };
 
 /// One row of Service::ListKbs — a tenant that is open, a catalog entry
@@ -293,8 +306,10 @@ Result<std::vector<KbCatalogEntry>> ParseKbCatalog(std::string_view json);
 /// controller and are guarded by *its* mutex, not by anything here.
 class Tenant {
  public:
-  Tenant(std::string name, const RemiOptions& mining, TenantQuota quota,
-         std::shared_ptr<std::atomic<size_t>> live_epochs);
+  /// \param pool the Service's shared dispatch pool (may be null); every
+  ///        miner of this tenant runs on it.
+  Tenant(std::string name, const RemiOptions& mining, ThreadPool* pool,
+         TenantQuota quota, std::shared_ptr<std::atomic<size_t>> live_epochs);
   ~Tenant() { ledger_->Close(); }
   Tenant(const Tenant&) = delete;
   Tenant& operator=(const Tenant&) = delete;
@@ -311,18 +326,18 @@ class Tenant {
   uint64_t generation() const { return CurrentEpoch()->generation; }
 
   /// Opens + validates `spec` off the serving path and, on success,
-  /// publishes it as this tenant's next generation. Fails closed: a bad
-  /// candidate is reported in-band and the previous generation keeps
-  /// serving. Concurrent reloads of one tenant serialize; reloads of
-  /// different tenants do not contend.
+  /// builds the next generation (indexes and default miner), warms its
+  /// cache with the serving generation's hot match sets, and publishes
+  /// it. Fails closed: a bad candidate is reported in-band, nothing is
+  /// warmed, and the previous generation keeps serving. Concurrent
+  /// reloads of one tenant serialize; reloads of different tenants do
+  /// not contend.
   ReloadKbResponse Reload(const KbSpec& spec);
 
   /// The miner for a cost/bias variant of `epoch`, created on first use.
-  /// `pool` is the Service's shared dispatch pool (may be null).
   RemiMiner* MinerFor(const KbEpoch& epoch,
                       const std::optional<CostModelOptions>& cost,
-                      const std::optional<EnumeratorOptions>& enumerator,
-                      ThreadPool* pool) const;
+                      const std::optional<EnumeratorOptions>& enumerator) const;
 
   // --- per-tenant accounting (the only copy of the request ledger) ---------
   void RecordAdmitted() { ledger_->Add(&RequestLedger::admitted); }
@@ -360,10 +375,12 @@ class Tenant {
  private:
   const std::string name_;
   const RemiOptions mining_;
+  ThreadPool* const pool_;
   const TenantQuota quota_;
   std::shared_ptr<std::atomic<size_t>> live_epochs_;
 
-  /// The snapshot registry: the serving epoch, swapped by Reload.
+  /// The snapshot registry: the serving epoch, swapped by Reload. Held
+  /// only for the pointer copy or swap, never while an epoch is built.
   mutable std::mutex epoch_mu_;
   std::shared_ptr<KbEpoch> epoch_;
   /// Serializes this tenant's reloads (generation numbering + publish
@@ -387,9 +404,11 @@ class Tenant {
 class TenantRegistry {
  public:
   /// \param mining base mining configuration, copied into every tenant.
+  /// \param pool the Service's shared dispatch pool (may be null).
   /// \param default_quota quota for tenants without an explicit one.
   /// \param live_epochs the process-wide live-epoch gauge.
-  TenantRegistry(const RemiOptions& mining, TenantQuota default_quota,
+  TenantRegistry(const RemiOptions& mining, ThreadPool* pool,
+                 TenantQuota default_quota,
                  std::shared_ptr<std::atomic<size_t>> live_epochs);
 
   /// Creates the default tenant "" serving `kb`. Called exactly once,
@@ -452,6 +471,7 @@ class TenantRegistry {
   };
 
   const RemiOptions mining_;
+  ThreadPool* const pool_;
   const TenantQuota default_quota_;
   std::shared_ptr<std::atomic<size_t>> live_epochs_;
 

@@ -57,6 +57,15 @@ class LruCache {
 
   bool Contains(const Key& key) const { return index_.count(key) > 0; }
 
+  /// Calls fn(key, value) for every entry, least recently used first.
+  /// Does not touch recency or the counters.
+  template <typename Fn>
+  void ForEachOldestFirst(Fn&& fn) const {
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+      fn(it->first, it->second);
+    }
+  }
+
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
 

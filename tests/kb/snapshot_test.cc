@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,10 @@
 #include "remi/remi.h"
 #include "util/random.h"
 #include "util/varint.h"
+
+#ifndef REMI_TESTDATA_DIR
+#define REMI_TESTDATA_DIR "tests/data"
+#endif
 
 namespace remi {
 namespace {
@@ -211,6 +217,73 @@ TEST(SnapshotTest, OverflowingMetaCountIsCorruption) {
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption())
       << opened.status().ToString();
+}
+
+TEST(SnapshotTest, OldVersionImageIsRejectedWithAVersionError) {
+  // golden_v1.rkf2 is the fixture as version 1 wrote it (offset tables
+  // spanning each predicate's key range). No second decoder is kept.
+  std::ifstream in(std::string(REMI_TESTDATA_DIR) + "/golden_v1.rkf2",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string image((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  auto opened = KnowledgeBase::OpenSnapshotBuffer(image);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("unsupported snapshot version 1"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
+/// The image with one bit of section `id` flipped at element `index`
+/// (counted in `width`-byte elements), container checksums recomputed so
+/// only the content audit can catch it.
+std::string FlipInSection(const std::string& image, uint32_t id,
+                          size_t index, size_t width, int bit) {
+  auto parsed = Rkf2Image::Parse(image);
+  EXPECT_TRUE(parsed.ok());
+  // The writer keeps views until Finish: unflipped sections view `image`,
+  // the flipped one views `flipped`.
+  Rkf2Writer writer;
+  std::string flipped;
+  for (uint32_t sec = 1; sec <= 64; ++sec) {
+    if (!parsed->Has(sec)) continue;
+    std::string_view payload = *parsed->Section(sec);
+    if (sec == id) {
+      EXPECT_LT(index * width + bit / 8, payload.size());
+      flipped = std::string(payload);
+      flipped[index * width + bit / 8] ^= static_cast<char>(1 << (bit % 8));
+      payload = flipped;
+    }
+    writer.AddSection(sec, payload);
+  }
+  return writer.Finish();
+}
+
+TEST(SnapshotTest, KeyIndexLiesAreCorruption) {
+  const KnowledgeBase kb = BuildSyntheticKb(SmallConfig(13));
+  const std::string image = kb.SerializeSnapshot();
+  ASSERT_TRUE(KnowledgeBase::OpenSnapshotBuffer(image).ok());
+  // Section ids: 13/14 offset pools (u32), 24/26 key bitmaps (u64),
+  // 25/27 key ranks (u32).
+  struct Lie {
+    uint32_t section;
+    size_t width;
+  };
+  for (const Lie lie : {Lie{13, 4}, Lie{14, 4}, Lie{24, 8}, Lie{25, 4},
+                        Lie{26, 8}, Lie{27, 4}}) {
+    for (const size_t index : {size_t{0}, size_t{1}, size_t{7}}) {
+      for (const int bit : {0, 3, 17}) {
+        auto opened = KnowledgeBase::OpenSnapshotBuffer(
+            FlipInSection(image, lie.section, index, lie.width, bit));
+        ASSERT_FALSE(opened.ok())
+            << "section " << lie.section << " element " << index << " bit "
+            << bit;
+        EXPECT_TRUE(opened.status().IsCorruption())
+            << opened.status().ToString();
+      }
+    }
+  }
 }
 
 TEST(SnapshotTest, OwnedDictionaryCopyOutlivesSnapshot) {

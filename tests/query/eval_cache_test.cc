@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +34,50 @@ TEST(EvalCacheTest, PutThenGet) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
+}
+
+/// HotKeys as "<c1><r|->" tokens (atoms of predicate 1 only).
+std::string HotSet(const EvalCache& cache) {
+  std::string out;
+  for (const EvalCache::HotKey& k : cache.HotKeys()) {
+    out += std::to_string(k.key.c1) + (k.reused ? "r " : "- ");
+  }
+  return out;
+}
+
+TEST(EvalCacheTest, HotKeysAreTheReusedEntriesAndAsManyRecentOthers) {
+  EvalCache cache(/*capacity=*/64, /*num_shards=*/1);
+  auto put = [&](TermId c, bool reused = false) {
+    cache.Put(SubgraphExpression::Atom(1, c), MakeSet({c}), reused);
+  };
+  put(1);
+  put(2);
+  put(3);
+  EXPECT_EQ(HotSet(cache), "");  // nothing reused, so nothing is hot
+
+  // The last Put left 3 in this thread's front, so this hit skips the
+  // shard; the front must still reach 3's mark.
+  ASSERT_NE(cache.Get(SubgraphExpression::Atom(1, 3)), nullptr);
+  EXPECT_EQ(cache.stats().front_hits, 1u);
+  // Another thread has an empty front: its hit goes through the shard
+  // and makes 2 the most recently used entry.
+  std::thread([&] {
+    ASSERT_NE(cache.Get(SubgraphExpression::Atom(1, 2)), nullptr);
+  }).join();
+  EXPECT_EQ(HotSet(cache), "1- 3r 2r ");
+
+  // Two reused entries admit the two most recent unreused ones.
+  put(4);
+  put(5);
+  put(6);
+  EXPECT_EQ(HotSet(cache), "3r 2r 5- 6- ");
+  // A prefilled entry can start out reused; the list runs oldest first.
+  put(7, /*reused=*/true);
+  EXPECT_EQ(HotSet(cache), "3r 2r 4- 5- 6- 7r ");
+  // Listing touches neither recency nor the counters.
+  EXPECT_EQ(HotSet(cache), "3r 2r 4- 5- 6- 7r ");
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(EvalCacheTest, ShardCountRoundsUpToPowerOfTwo) {

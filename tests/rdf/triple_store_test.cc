@@ -39,6 +39,37 @@ TEST(TripleStoreTest, EmptyStore) {
   EXPECT_TRUE(store.predicates().empty());
 }
 
+TEST(TripleStoreTest, SparseKeysAcrossBitmapWordBoundaries) {
+  // Subjects and objects of p=5 straddle 64-bit words of its rank bitmap
+  // (keys relative to the base 10: 0, 63, 64, 127, 128, 1000000); every
+  // present key maps to its own run, every absent one to nothing.
+  const std::vector<TermId> keys = {10, 73, 74, 137, 138, 1000010};
+  std::vector<Triple> triples;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      triples.push_back({keys[i], 5, static_cast<TermId>(2000000 + j)});
+      triples.push_back({static_cast<TermId>(3000000 + j), 5, keys[i]});
+    }
+  }
+  triples.push_back({11, 6, 12});  // a second predicate after p=5's slots
+  const TripleStore store = TripleStore::Build(std::move(triples));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto objects = store.ByPredicateSubject(5, keys[i]);
+    ASSERT_EQ(objects.size(), i + 1) << keys[i];
+    for (const Triple& t : objects) EXPECT_EQ(t.s, keys[i]);
+    const auto subjects = store.ByPredicateObject(5, keys[i]);
+    ASSERT_EQ(subjects.size(), i + 1) << keys[i];
+    for (const Triple& t : subjects) EXPECT_EQ(t.o, keys[i]);
+  }
+  for (const TermId absent : {9u, 11u, 72u, 75u, 136u, 139u, 1000009u,
+                              1000011u, 4000000u}) {
+    EXPECT_TRUE(store.ByPredicateSubject(5, absent).empty()) << absent;
+    EXPECT_TRUE(store.ByPredicateObject(5, absent).empty()) << absent;
+  }
+  EXPECT_EQ(store.ByPredicateSubject(6, 11).size(), 1u);
+  EXPECT_TRUE(store.ByPredicateSubject(6, 10).empty());
+}
+
 TEST(TripleStoreTest, DeduplicatesInput) {
   TripleStore store = TripleStore::Build({
       {1, 100, 2},

@@ -124,6 +124,43 @@ TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
   std::remove(corrupt_path.c_str());
 }
 
+TEST_F(EventServerTest, ReloadReportsItsWarmPhaseInBothEncodings) {
+  StartServer();
+  // A connection speaks the protocol of its first bytes: one for each.
+  auto client = Dial(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto line_client = Dial(server_->port());
+  ASSERT_TRUE(line_client.ok()) << line_client.status().ToString();
+  const std::string smoke = std::string(REMI_TESTDATA_DIR) + "/smoke.nt";
+  const std::string mine = R"({"targets":["Berlin"]})";
+  const std::string reload = std::string(R"({"path":")") + smoke + "\"}";
+
+  // A question asked twice leaves reused match sets, which each reload
+  // re-evaluates on the new generation.
+  for (int i = 0; i < 2; ++i) {
+    Parse(client->FrameRoundTrip(FrameVerb::kMine, mine, 10 + i));
+  }
+  JsonValue framed =
+      Parse(client->FrameRoundTrip(FrameVerb::kReload, reload, 20));
+  JsonValue line = Request(
+      *line_client,
+      std::string(R"({"op":"reload","path":")") + smoke + "\"}");
+  for (const JsonValue* doc : {&framed, &line}) {
+    ASSERT_NE(doc->Find("status"), nullptr);
+    EXPECT_EQ(doc->Find("status")->AsString(), "OK");
+    ASSERT_NE(doc->Find("load_seconds"), nullptr);
+    ASSERT_NE(doc->Find("warm_seconds"), nullptr);
+    ASSERT_NE(doc->Find("warmed_entries"), nullptr);
+    EXPECT_GT(doc->Find("warm_seconds")->AsNumber(), 0.0);
+    EXPECT_GT(doc->Find("warmed_entries")->AsNumber(), 0.0);
+  }
+  // The second reload found no request on generation 2: the carried
+  // reuse marks alone kept the set hot.
+  EXPECT_EQ(framed.Find("warmed_entries")->AsNumber(),
+            line.Find("warmed_entries")->AsNumber());
+  EXPECT_EQ(line.Find("generation")->AsNumber(), 3.0);
+}
+
 TEST_F(EventServerTest, StopClosesOpenConnections) {
   StartServer();
   auto client = Dial(server_->port());
