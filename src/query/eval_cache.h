@@ -28,39 +28,23 @@ namespace remi {
 
 /// Aggregated counters of a sharded cache (sum over shards).
 struct EvalCacheStats {
-  /// All successful lookups, including those served by a thread front.
   uint64_t hits = 0;
   uint64_t misses = 0;
   size_t entries = 0;
-  /// Breakdown of `hits`: lookups answered by the calling thread's
-  /// lock-free front without touching a shard mutex.
-  uint64_t front_hits = 0;
 };
 
 /// \brief Sharded LRU cache from SubgraphExpression to its match set.
 ///
-/// Thread-safe. Each shard serializes its own operations; operations on
-/// different shards proceed fully in parallel. Values are shared_ptr so a
-/// match set may be evicted from its shard while another thread still
-/// holds it (needed by P-REMI).
+/// Thread-safe. Every operation takes the mutex of its key's shard and
+/// nothing else, so operations on different shards proceed fully in
+/// parallel, and the shards hold the only references the cache keeps.
+/// Values are shared_ptr so a match set may be evicted while a caller
+/// still holds it (the miner pins its queue's match sets for a search).
 class EvalCache {
  public:
   /// Default shard count; a modest power of two keeps per-shard LRUs large
   /// enough to stay effective while making cross-thread contention rare.
   static constexpr size_t kDefaultShards = 16;
-
-  /// Slots of the per-thread front (direct-mapped, lock-free). Each
-  /// worker thread keeps its hottest expressions in thread-local storage
-  /// so repeated lookups — the P-REMI pinning passes and concurrent batch
-  /// runs hammering the same building blocks — stop ping-ponging shard
-  /// mutexes and LRU recency lists between cores. Front entries are
-  /// validated against a per-shard version that every Put bumps, so a
-  /// front can never serve an entry its shard has since evicted or
-  /// replaced; in the steady state (warm cache, no inserts) fronts stay
-  /// valid indefinitely. The front may extend the lifetime of up to this
-  /// many match sets per thread beyond their LRU eviction (they are
-  /// shared_ptr-held and immutable, so stale lifetime is the only cost).
-  static constexpr size_t kFrontSlots = 32;
 
   /// \param capacity total entry budget, split evenly across shards;
   ///        0 disables caching (every Get misses, Put is a no-op).
@@ -68,7 +52,7 @@ class EvalCache {
   explicit EvalCache(size_t capacity, size_t num_shards = 0);
 
   /// Returns the cached match set (marking it most-recently-used in its
-  /// shard) or nullptr on a miss.
+  /// shard and reused, see HotKeys) or nullptr on a miss.
   std::shared_ptr<const EntitySet> Get(const SubgraphExpression& rho);
 
   /// Inserts or overwrites; evicts the shard's LRU entry when full.
@@ -107,34 +91,20 @@ class EvalCache {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
-  /// One cached match set and its reuse mark. Shared by the shard and the
-  /// thread fronts, so a front hit, which skips the shard, still reaches
-  /// the mark.
+ private:
+  /// One cached match set and its reuse mark. Get sets the mark and
+  /// HotKeys reads it, both under the entry's shard mutex.
   struct Entry {
-    Entry(std::shared_ptr<const EntitySet> set_in, bool reused_in)
-        : set(std::move(set_in)), reused(reused_in) {}
-    /// One relaxed atomic per entry, loaded before it is stored: a hot
-    /// entry's mark is written once, not on every hit.
-    void MarkReused() {
-      if (!reused.load(std::memory_order_relaxed)) {
-        reused.store(true, std::memory_order_relaxed);
-      }
-    }
-    const std::shared_ptr<const EntitySet> set;
-    std::atomic<bool> reused;
+    std::shared_ptr<const EntitySet> set;
+    bool reused = false;
   };
 
- private:
   struct Shard {
     explicit Shard(size_t shard_capacity) : lru(shard_capacity) {}
     std::mutex mu;
     LruCache<SubgraphExpression, std::shared_ptr<Entry>,
              SubgraphExpressionHash>
         lru;
-    /// Bumped by every Put: thread fronts holding entries of this shard
-    /// treat any bump as an invalidation (conservative — correctness
-    /// needs only eviction/replacement to invalidate).
-    std::atomic<uint64_t> version{0};
   };
 
   size_t ShardIndexForHash(size_t hash) const;
@@ -146,11 +116,6 @@ class EvalCache {
   /// and the shard mutex entirely (a disabled cache must not serialize
   /// concurrent evaluators on locks that guard nothing).
   std::atomic<uint64_t> disabled_misses_{0};
-  /// Identity of this cache's current contents for the thread fronts:
-  /// globally unique per instance and re-drawn by Clear(), so a front
-  /// filled from an earlier life (or another cache) never matches.
-  std::atomic<uint64_t> front_epoch_;
-  std::atomic<uint64_t> front_hits_{0};
 };
 
 }  // namespace remi

@@ -55,12 +55,10 @@ TEST(EvalCacheTest, HotKeysAreTheReusedEntriesAndAsManyRecentOthers) {
   put(3);
   EXPECT_EQ(HotSet(cache), "");  // nothing reused, so nothing is hot
 
-  // The last Put left 3 in this thread's front, so this hit skips the
-  // shard; the front must still reach 3's mark.
+  // A hit on the thread that Put 3 marks 3 reused, and a hit on another
+  // thread marks 2 reused and makes it the most recently used entry: a
+  // warm reload carries every entry any thread has hit.
   ASSERT_NE(cache.Get(SubgraphExpression::Atom(1, 3)), nullptr);
-  EXPECT_EQ(cache.stats().front_hits, 1u);
-  // Another thread has an empty front: its hit goes through the shard
-  // and makes 2 the most recently used entry.
   std::thread([&] {
     ASSERT_NE(cache.Get(SubgraphExpression::Atom(1, 2)), nullptr);
   }).join();
@@ -78,6 +76,20 @@ TEST(EvalCacheTest, HotKeysAreTheReusedEntriesAndAsManyRecentOthers) {
   EXPECT_EQ(HotSet(cache), "3r 2r 4- 5- 6- 7r ");
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(EvalCacheTest, DestroyedCacheReleasesItsMatchSets) {
+  // A retired KB generation's cache must free its match sets when it is
+  // destroyed, even while the threads that used it live on.
+  std::weak_ptr<const EntitySet> watched;
+  {
+    EvalCache cache(/*capacity=*/64);
+    const auto rho = SubgraphExpression::Atom(1, 2);
+    cache.Put(rho, MakeSet({3, 4, 5}));
+    watched = cache.Get(rho);
+    ASSERT_FALSE(watched.expired());
+  }
+  EXPECT_TRUE(watched.expired());
 }
 
 TEST(EvalCacheTest, ShardCountRoundsUpToPowerOfTwo) {

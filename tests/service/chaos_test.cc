@@ -30,6 +30,7 @@
 #include "service/service.h"
 #include "service/wire_client.h"
 #include "util/io_hooks.h"
+#include "process_temp_dir.h"
 
 namespace remi {
 namespace {
@@ -71,7 +72,7 @@ Result<WireClient> Dial(int port) {
 class ChaosServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = ProcessTempDir();
     image_ = ChaosKb().SerializeSnapshot();
     default_path_ = dir_ + "/chaos_default.rkf2";
     alpha_path_ = dir_ + "/chaos_alpha.rkf2";

@@ -22,6 +22,7 @@
 #include "service/wire_client.h"
 #include "util/io_hooks.h"
 #include "util/json.h"
+#include "process_temp_dir.h"
 #include "wire_test_util.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -100,7 +101,7 @@ TEST_F(EventServerTest, ReloadVerbSwapsGenerationsInBand) {
   // Corrupt candidate: valid magic, garbage body. Fail closed in-band —
   // the connection survives and generation 2 keeps serving.
   const std::string corrupt_path =
-      ::testing::TempDir() + "/event_server_corrupt.rkf2";
+      ProcessTempDir() + "/event_server_corrupt.rkf2";
   {
     std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
     out << "RKF2 this is not a snapshot";

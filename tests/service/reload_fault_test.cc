@@ -33,6 +33,7 @@
 #include "rdf/rkf2.h"
 #include "util/fnv.h"
 #include "util/random.h"
+#include "process_temp_dir.h"
 
 namespace remi {
 namespace {
@@ -221,7 +222,7 @@ class ReloadFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     image_ = FaultKb().SerializeSnapshot();
-    dir_ = ::testing::TempDir();
+    dir_ = ProcessTempDir();
     good_path_ = dir_ + "/reload_fault_good.rkf2";
     WriteFile(good_path_, image_);
 
@@ -480,7 +481,7 @@ TEST_F(ReloadFaultTest, ReloadToDifferentKbServesNewContent) {
 
 TEST(ServiceReloadHammerTest, ConcurrentMinesAndReloadsNeverDropARequest) {
   const std::string image = FaultKb().SerializeSnapshot();
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ProcessTempDir();
   const std::string good_path = dir + "/reload_hammer_good.rkf2";
   WriteFile(good_path, image);
 

@@ -19,6 +19,7 @@
 #include "service/json_codec.h"
 #include "util/json.h"
 #include "util/timer.h"
+#include "process_temp_dir.h"
 
 #ifndef REMI_TESTDATA_DIR
 #define REMI_TESTDATA_DIR "tests/data"
@@ -100,7 +101,7 @@ TEST(ServiceOpenTest, SniffsMagicOverMisleadingExtension) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   const std::string path =
-      ::testing::TempDir() + "/misnamed_snapshot_test.nt";
+      ProcessTempDir() + "/misnamed_snapshot_test.nt";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -28,6 +28,7 @@
 #include "service/tenant_registry.h"
 #include "service/wire_client.h"
 #include "util/json.h"
+#include "process_temp_dir.h"
 #include "wire_test_util.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -203,7 +204,7 @@ TEST(TenantRegistryTest, CatalogEntriesOpenLazilyAndFailAtomically) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   Service* service = opened->get();
 
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = ProcessTempDir();
   const std::string catalog_path = dir + "/tenant_catalog.json";
   WriteFile(catalog_path,
             std::string("{\"kbs\":[{\"name\":\"lazy1\",\"path\":\"") +
@@ -283,7 +284,7 @@ TEST(TenantRegistryTest, ReloadIsPerTenant) {
   ASSERT_TRUE(baseline->found);
 
   // Swap the DEFAULT tenant to a different KB.
-  const std::string path = ::testing::TempDir() + "/tenant_reload_a2.rkf2";
+  const std::string path = ProcessTempDir() + "/tenant_reload_a2.rkf2";
   WriteFile(path, BuildTaggedKb("a2").SerializeSnapshot());
   ReloadKbRequest reload;
   reload.spec.path = path;
@@ -307,7 +308,7 @@ TEST(TenantRegistryTest, ReloadIsPerTenant) {
       service->Mine(MineFor("", "http://ex/a/Entity3")).status().IsNotFound());
 
   // And a named reload swaps only that tenant.
-  const std::string b2 = ::testing::TempDir() + "/tenant_reload_b2.rkf2";
+  const std::string b2 = ProcessTempDir() + "/tenant_reload_b2.rkf2";
   WriteFile(b2, BuildTaggedKb("b2").SerializeSnapshot());
   ReloadKbRequest named;
   named.kb = "b";
@@ -550,7 +551,7 @@ TEST_F(TenantRegistryWireTest, UseKbHandshakeSetsTheConnectionDefault) {
 }
 
 TEST_F(TenantRegistryWireTest, AdminVerbsAttachListDetach) {
-  const std::string path = ::testing::TempDir() + "/tenant_wire_w.rkf2";
+  const std::string path = ProcessTempDir() + "/tenant_wire_w.rkf2";
   WriteFile(path, BuildTaggedKb("w").SerializeSnapshot());
 
   auto client = Dial(server_->port());
@@ -703,7 +704,7 @@ TEST(ReloadFaultTenantTest, CrossTenantHammerKeepsTenantsIsolated) {
     ASSERT_TRUE(service->AttachKb(name, BuildTaggedKb(name)).ok());
   }
   const std::string reload_path =
-      ::testing::TempDir() + "/tenant_hammer_t0.rkf2";
+      ProcessTempDir() + "/tenant_hammer_t0.rkf2";
   WriteFile(reload_path, BuildTaggedKb("t0").SerializeSnapshot());
 
   // Per-tenant baselines (the byte-identity reference).

@@ -16,6 +16,7 @@
 #include "kbgen/synthetic.h"
 #include "service/service.h"
 #include "service/tenant_registry.h"
+#include "process_temp_dir.h"
 
 #ifndef REMI_TESTDATA_DIR
 #define REMI_TESTDATA_DIR "tests/data"
@@ -38,7 +39,7 @@ SyntheticKbConfig SmallConfig(uint64_t seed) {
 
 /// Saves the synthetic KB of `seed` as a snapshot and returns its path.
 std::string SaveSynthetic(uint64_t seed) {
-  const std::string path = ::testing::TempDir() + "/warm_reload_seed" +
+  const std::string path = ProcessTempDir() + "/warm_reload_seed" +
                            std::to_string(seed) + ".rkf2";
   EXPECT_TRUE(BuildSyntheticKb(SmallConfig(seed)).SaveSnapshot(path).ok());
   return path;
@@ -187,7 +188,7 @@ TEST(WarmReloadTest, FailedReloadWarmsAndPublishesNothing) {
   auto service = OpenPath(SmokePath());
   ASSERT_NE(service, nullptr);
   MakeHot(*service, {{"Berlin"}});
-  const std::string corrupt = ::testing::TempDir() + "/warm_corrupt.rkf2";
+  const std::string corrupt = ProcessTempDir() + "/warm_corrupt.rkf2";
   std::ofstream(corrupt, std::ios::binary | std::ios::trunc)
       << "RKF2 this is not a snapshot";
 
