@@ -9,8 +9,13 @@
 //               work-stealing subtree spilling), summed over the sets.
 //
 // For each thread count the harness verifies that every mined (found,
-// cost) pair matches the 1-thread baseline, then reports wall time and
-// speedup. Results are written as JSON (default BENCH_parallel.json):
+// cost, expression) triple matches the 1-thread baseline, then reports
+// wall time and speedup. One pass over the default workload takes
+// 0.1-0.25 s, so a single pass does not resolve a speedup on a shared
+// host: every thread count's pass runs kRepeats times, interleaved
+// (repeat r runs every thread count before repeat r + 1 starts), and each
+// row reports the median and min-max seconds; speedups are ratios of
+// medians. Results are written as JSON (default BENCH_parallel.json):
 //
 //   ./bench_micro_parallel [--scale 0.05] [--sets 24] [--seed 7]
 //                          [--threads 1,2,4,8] [--out BENCH_parallel.json]
@@ -35,14 +40,41 @@
 
 namespace {
 
+/// Passes per thread count.
+constexpr int kRepeats = 9;
+
+/// Seconds of one pass, over the repeats.
+struct Spread {
+  std::vector<double> samples;
+
+  double Median() const {
+    std::vector<double> v = samples;
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    if (n == 0) return 0.0;
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  }
+  double Min() const {
+    return samples.empty() ? 0.0
+                           : *std::min_element(samples.begin(), samples.end());
+  }
+  double Max() const {
+    return samples.empty() ? 0.0
+                           : *std::max_element(samples.begin(), samples.end());
+  }
+};
+
 struct Row {
   int threads = 1;
-  double batch_seconds = 0.0;
-  double premi_seconds = 0.0;
-  double batch_speedup = 1.0;
-  double premi_speedup = 1.0;
+  Spread batch;
+  Spread premi;
   bool results_match_baseline = true;
 };
+
+double Speedup(const Spread& base, const Spread& spread) {
+  const double median = spread.Median();
+  return median > 0 ? base.Median() / median : 1.0;
+}
 
 std::vector<int> ParseThreadList(const std::string& spec) {
   std::vector<int> threads;
@@ -93,56 +125,54 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   std::vector<remi::RemiResult> baseline;
-  std::vector<Row> rows;
-  for (const int threads : thread_counts) {
-    remi::RemiOptions options;
-    options.num_threads = threads;
-    options.clamp_threads_to_hardware = false;
-    Row row;
-    row.threads = threads;
-
-    {
-      // Fresh miner per run: cold cache, so each thread count pays the
-      // same evaluation work and the comparison is fair.
-      remi::RemiMiner miner(&kb, options);
-      remi::Timer timer;
-      auto results = miner.MineBatch(batch);
-      REMI_CHECK_OK(results.status());
-      row.batch_seconds = timer.ElapsedSeconds();
-      if (baseline.empty()) {
-        baseline = std::move(*results);
-      } else {
-        for (size_t i = 0; i < results->size(); ++i) {
-          if (!SameOutcome(baseline[i], (*results)[i])) {
-            row.results_match_baseline = false;
+  std::vector<Row> rows(thread_counts.size());
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (size_t t = 0; t < thread_counts.size(); ++t) {
+      Row& row = rows[t];
+      row.threads = thread_counts[t];
+      remi::RemiOptions options;
+      options.num_threads = row.threads;
+      options.clamp_threads_to_hardware = false;
+      {
+        // Fresh miner per pass: cold cache, so each thread count pays the
+        // same evaluation work and the comparison is fair.
+        remi::RemiMiner miner(&kb, options);
+        remi::Timer timer;
+        auto results = miner.MineBatch(batch);
+        REMI_CHECK_OK(results.status());
+        row.batch.samples.push_back(timer.ElapsedSeconds());
+        if (baseline.empty()) {
+          baseline = std::move(*results);
+        } else {
+          for (size_t i = 0; i < results->size(); ++i) {
+            if (!SameOutcome(baseline[i], (*results)[i])) {
+              row.results_match_baseline = false;
+            }
           }
         }
       }
-    }
-    {
-      remi::RemiMiner miner(&kb, options);
-      remi::Timer timer;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        auto result = miner.MineRe(batch[i]);
-        REMI_CHECK_OK(result.status());
-        if (!SameOutcome(baseline[i], *result)) {
-          row.results_match_baseline = false;
+      {
+        remi::RemiMiner miner(&kb, options);
+        remi::Timer timer;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          auto result = miner.MineRe(batch[i]);
+          REMI_CHECK_OK(result.status());
+          if (!SameOutcome(baseline[i], *result)) {
+            row.results_match_baseline = false;
+          }
         }
+        row.premi.samples.push_back(timer.ElapsedSeconds());
       }
-      row.premi_seconds = timer.ElapsedSeconds();
     }
-
-    row.batch_speedup = rows.empty() || row.batch_seconds <= 0
-                            ? 1.0
-                            : rows.front().batch_seconds / row.batch_seconds;
-    row.premi_speedup = rows.empty() || row.premi_seconds <= 0
-                            ? 1.0
-                            : rows.front().premi_seconds / row.premi_seconds;
-    std::printf("  threads=%-2d batch=%8.3fs (x%.2f)  premi=%8.3fs (x%.2f)%s\n",
-                row.threads, row.batch_seconds, row.batch_speedup,
-                row.premi_seconds, row.premi_speedup,
+  }
+  for (const Row& row : rows) {
+    std::printf("  threads=%-2d batch=%7.3fs [%.3f-%.3f] (x%.2f)  "
+                "premi=%7.3fs [%.3f-%.3f] (x%.2f)%s\n",
+                row.threads, row.batch.Median(), row.batch.Min(),
+                row.batch.Max(), Speedup(rows.front().batch, row.batch),
+                row.premi.Median(), row.premi.Min(), row.premi.Max(),
+                Speedup(rows.front().premi, row.premi),
                 row.results_match_baseline ? "" : "  RESULTS DIVERGE");
-    rows.push_back(row);
   }
 
   const std::string out_path = flags.GetString("out");
@@ -158,25 +188,30 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"workload\": \"dbpedia_like\",\n");
   std::fprintf(out, "    \"scale\": %g,\n", flags.GetDouble("scale"));
   std::fprintf(out, "    \"num_facts\": %zu,\n", kb.NumFacts());
-  std::fprintf(out, "    \"num_target_sets\": %zu\n", batch.size());
+  std::fprintf(out, "    \"num_target_sets\": %zu,\n", batch.size());
+  std::fprintf(out, "    \"repeats\": %d\n", kRepeats);
   std::fprintf(out, "  },\n  \"benchmarks\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     // oversubscribed = more workers requested than the host has cores;
     // speedup rows carrying `true` here measure scheduling overhead, not
     // parallel scaling, and must not be read as the paper's P-REMI claim.
-    std::fprintf(out,
-                 "    {\"threads\": %d, \"oversubscribed\": %s, "
-                 "\"batch_seconds\": %.6f, "
-                 "\"batch_speedup\": %.3f, \"premi_seconds\": %.6f, "
-                 "\"premi_speedup\": %.3f, \"results_match_baseline\": %s}%s\n",
-                 row.threads,
-                 (hw != 0 && row.threads > static_cast<int>(hw)) ? "true"
-                                                                 : "false",
-                 row.batch_seconds, row.batch_speedup,
-                 row.premi_seconds, row.premi_speedup,
-                 row.results_match_baseline ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
+    std::fprintf(
+        out,
+        "    {\"threads\": %d, \"oversubscribed\": %s, "
+        "\"batch_seconds_median\": %.6f, \"batch_seconds_min\": %.6f, "
+        "\"batch_seconds_max\": %.6f, \"batch_speedup\": %.3f, "
+        "\"premi_seconds_median\": %.6f, \"premi_seconds_min\": %.6f, "
+        "\"premi_seconds_max\": %.6f, \"premi_speedup\": %.3f, "
+        "\"results_match_baseline\": %s}%s\n",
+        row.threads,
+        (hw != 0 && row.threads > static_cast<int>(hw)) ? "true" : "false",
+        row.batch.Median(), row.batch.Min(), row.batch.Max(),
+        Speedup(rows.front().batch, row.batch), row.premi.Median(),
+        row.premi.Min(), row.premi.Max(),
+        Speedup(rows.front().premi, row.premi),
+        row.results_match_baseline ? "true" : "false",
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -8,6 +8,10 @@
 // headline metric is warm nodes/sec = Σ nodes_visited / Σ search_seconds.
 // nodes_visited is kernel-independent (the search visits the same tree),
 // so nodes/sec ratios between two builds measure pure per-node overhead.
+// A change to the search itself (a bound, a pruning rule) changes the tree
+// instead: it removes nodes, mostly cheap ones, so nodes/sec can fall
+// while the search gets faster. The baseline comparison therefore also
+// reports both builds' node counts and warm seconds.
 //
 // A structural FNV hash over every mined expression is recorded per
 // scale; comparing hashes across builds proves the kernels return
@@ -18,8 +22,9 @@
 //                        [--baseline OLD.json]
 //
 // With --baseline, per-scale speedups against a BENCH_search.json written
-// by an older build (e.g. the pre-zero-allocation kernel) are computed,
-// result hashes are cross-checked, and both runs land in the output file.
+// by an older build (e.g. the pre-zero-allocation kernel) are computed
+// (warm nodes/sec and warm seconds), result hashes are cross-checked, and
+// both runs land in the output file.
 
 #include <cmath>
 #include <cstdio>
@@ -55,7 +60,10 @@ struct ScaleRow {
   // Filled from --baseline when a matching scale is found there.
   bool have_baseline = false;
   double baseline_warm_nodes_per_sec = 0.0;
-  double warm_speedup = 0.0;
+  double warm_speedup = 0.0;          // ratio of warm nodes/sec
+  uint64_t baseline_nodes = 0;
+  double baseline_warm_seconds = 0.0;
+  double warm_seconds_speedup = 0.0;  // baseline warm s / this warm s
   bool results_match_baseline = true;
 };
 
@@ -93,7 +101,8 @@ std::vector<double> ParseScaleList(const std::string& spec) {
   return scales;
 }
 
-/// Loads the per-scale warm nodes/sec + result hashes of a previous run.
+/// Loads the per-scale nodes, warm seconds, warm nodes/sec and result
+/// hashes of a previous run.
 void ApplyBaseline(const std::string& path, std::vector<ScaleRow>* rows) {
   std::ifstream in(path);
   if (!in) {
@@ -114,6 +123,8 @@ void ApplyBaseline(const std::string& path, std::vector<ScaleRow>* rows) {
     const remi::JsonValue* scale = entry.Find("scale");
     const remi::JsonValue* nps = entry.Find("warm_nodes_per_sec");
     const remi::JsonValue* hash = entry.Find("result_hash");
+    const remi::JsonValue* nodes = entry.Find("nodes");
+    const remi::JsonValue* warm = entry.Find("warm_seconds");
     if (scale == nullptr || nps == nullptr) continue;
     for (ScaleRow& row : *rows) {
       if (std::abs(row.scale - scale->AsNumber()) > 1e-12) continue;
@@ -123,6 +134,13 @@ void ApplyBaseline(const std::string& path, std::vector<ScaleRow>* rows) {
                              ? row.warm_nodes_per_sec /
                                    row.baseline_warm_nodes_per_sec
                              : 0.0;
+      if (nodes != nullptr && warm != nullptr) {
+        row.baseline_nodes = static_cast<uint64_t>(nodes->AsNumber());
+        row.baseline_warm_seconds = warm->AsNumber();
+        row.warm_seconds_speedup =
+            row.warm_seconds > 0 ? row.baseline_warm_seconds / row.warm_seconds
+                                 : 0.0;
+      }
       if (hash != nullptr && hash->is_string()) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%016llx",
@@ -216,9 +234,13 @@ int main(int argc, char** argv) {
     ApplyBaseline(baseline, &rows);
     for (const ScaleRow& row : rows) {
       if (!row.have_baseline) continue;
-      std::printf("scale=%-5g speedup vs baseline: x%.2f (warm nodes/sec) "
-                  "results %s\n",
-                  row.scale, row.warm_speedup,
+      std::printf("scale=%-5g vs baseline: nodes %llu -> %llu, warm %.3fs -> "
+                  "%.3fs (x%.2f), warm nodes/sec x%.2f, results %s\n",
+                  row.scale,
+                  static_cast<unsigned long long>(row.baseline_nodes),
+                  static_cast<unsigned long long>(row.nodes),
+                  row.baseline_warm_seconds, row.warm_seconds,
+                  row.warm_seconds_speedup, row.warm_speedup,
                   row.results_match_baseline ? "IDENTICAL" : "DIVERGE");
       if (!row.results_match_baseline) {
         std::fprintf(stderr,
@@ -260,8 +282,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(row.result_hash));
     if (row.have_baseline) {
       std::fprintf(out,
-                   ", \"baseline_warm_nodes_per_sec\": %.1f, "
+                   ", \"baseline_nodes\": %llu, "
+                   "\"baseline_warm_seconds\": %.6f, "
+                   "\"warm_seconds_speedup\": %.3f, "
+                   "\"baseline_warm_nodes_per_sec\": %.1f, "
                    "\"warm_speedup\": %.3f, \"results_match_baseline\": %s",
+                   static_cast<unsigned long long>(row.baseline_nodes),
+                   row.baseline_warm_seconds, row.warm_seconds_speedup,
                    row.baseline_warm_nodes_per_sec, row.warm_speedup,
                    row.results_match_baseline ? "true" : "false");
     }

@@ -85,8 +85,10 @@ struct RemiMiner::SearchShared {
   /// P-REMI visits nodes out of order, so it must keep exploring
   /// equal-cost nodes (strict > prune) and break ties explicitly — by the
   /// search path, i.e. the queue-index sequence of the node, whose
-  /// lexicographic order IS preorder. Both searches therefore return the
-  /// identical expression without changing sequential behaviour at all.
+  /// lexicographic order IS preorder. A seeded search (see SeedBound)
+  /// starts from a best that the DFS did not find in preorder, so it
+  /// prunes strictly too. Every search therefore returns the identical
+  /// expression.
   bool strict_bound = false;
 
   std::atomic<bool> stop{false};
@@ -462,6 +464,42 @@ void RemiMiner::Dfs(const MatchSet& prefix_matches, double prefix_cost,
   }
 }
 
+uint64_t RemiMiner::SeedBound(SearchShared* shared) const {
+  const auto& queue = *shared->queue;
+  const auto& pinned = *shared->pinned;
+  const size_t n = queue.size();
+  double best = CostModel::kInfiniteCost;
+  // Singles: the queue is cost-sorted, so the first accepting entry is the
+  // cheapest one-conjunct RE.
+  for (size_t i = 0; i < n; ++i) {
+    if (pinned[i]->size() <= shared->max_matches) {
+      best = queue[i].cost;
+      shared->UpdateBest(best, {i});
+      break;
+    }
+  }
+  // Pairs (i, j), i < j, cheaper than the best so far. For each i the
+  // first accepting j is its cheapest partner, so the scan of i stops
+  // there; both loops stop once the sorted costs cannot beat the best.
+  const uint64_t budget = kSeedProbesPerEntry * n;
+  uint64_t probes = 0;
+  for (size_t i = 0; i < n && queue[i].cost < best; ++i) {
+    for (size_t j = i + 1; j < n && queue[i].cost + queue[j].cost < best;
+         ++j) {
+      if (probes == budget) return probes;
+      if ((probes & 63u) == 0 && shared->CheckDeadline()) return probes;
+      ++probes;
+      if (pinned[i]->IntersectCount(*pinned[j], shared->max_matches) <=
+          shared->max_matches) {
+        best = queue[i].cost + queue[j].cost;
+        shared->UpdateBest(best, {i, j});
+        break;
+      }
+    }
+  }
+  return probes;
+}
+
 bool RemiMiner::ExploreRoot(size_t root, SearchShared* shared,
                             const std::shared_ptr<RootTracker>& tracker,
                             SearchArena* arena) const {
@@ -624,29 +662,6 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
   }
   shared.pinned = &pinned;
 
-  // Forced-bitmap twins of the pinned views: within the byte budget,
-  // every sparse queue entry also gets a bitmap copy so DFS prefixes
-  // intersect by bit-tests instead of merges. Entries that are already
-  // bitmaps alias the pinned view directly.
-  std::vector<MatchSet> dense_storage;
-  std::vector<const MatchSet*> dense(n);
-  const size_t universe = kb_->dict().size();
-  const size_t bitmap_bytes = ((universe + 63) / 64) * sizeof(uint64_t);
-  if (!interrupted_before_search && n > 0 &&
-      bitmap_bytes * n <= kPinnedBitmapBudgetBytes) {
-    dense_storage.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (pinned[i]->is_bitmap()) {
-        dense[i] = pinned[i];
-      } else {
-        dense_storage.push_back(pinned[i]->ForcedBitmap(universe));
-        dense[i] = &dense_storage.back();
-        result.stats.dense_twin_bytes += dense_storage.back().MemoryBytes();
-      }
-    }
-    shared.dense = &dense;
-  }
-
   // Cache traffic from here on is per-node traffic: the pinning pass
   // above was the search's last legitimate EvalCache access.
   const uint64_t cache_lookups_before_search =
@@ -672,17 +687,66 @@ Result<RemiResult> RemiMiner::MineCore(const MatchSet& sorted_targets,
                          !shared.Interrupted();
   }
 
-  if (interrupted_before_search || no_solution_proven) {
+  // Seed pass: start both searches from the cheapest RE of at most two
+  // conjuncts, so the DFS runs under a near-final bound from its first
+  // node instead of improving a deep, costly first RE one conjunct at a
+  // time. A seed makes every later bound test strict (see strict_bound),
+  // which keeps the preorder-first answer among equal-cost REs. Without a
+  // seed nothing changes, so the Alg. 1 line 8 stops below (which fire
+  // only while no solution is known) keep their meaning. The pass is a
+  // best-bound device: the no-bound ablation skips it.
+  if (!interrupted_before_search && !no_solution_proven &&
+      options_.best_bound_pruning) {
+    result.stats.seed_probes = SeedBound(&shared);
+    if (shared.HasSolution()) shared.strict_bound = true;
+  }
+
+  // Forced-bitmap twins of the pinned views: within the byte budget,
+  // every sparse queue entry the search can reach also gets a bitmap copy
+  // so DFS prefixes intersect by bit-tests instead of merges. Entries
+  // that are already bitmaps alias the pinned view directly. Under a seed
+  // the search reaches only entries of Ĉ <= Ĉ(seed) (a node costs at
+  // least each of its conjuncts, and the bound only falls), so the rest
+  // alias their pinned views too and are never twinned.
+  std::vector<MatchSet> dense_storage;
+  std::vector<const MatchSet*> dense(pinned);
+  size_t reach = n;
+  if (shared.HasSolution()) {
+    const double seed =
+        shared.best_cost_relaxed.load(std::memory_order_relaxed);
+    reach = static_cast<size_t>(
+        std::upper_bound(queue.begin(), queue.end(), seed,
+                         [](double cost, const RankedSubgraph& entry) {
+                           return cost < entry.cost;
+                         }) -
+        queue.begin());
+  }
+  const size_t universe = kb_->dict().size();
+  const size_t bitmap_bytes = ((universe + 63) / 64) * sizeof(uint64_t);
+  if (!interrupted_before_search && !no_solution_proven &&
+      !shared.Interrupted() && reach > 0 &&
+      bitmap_bytes * reach <= kPinnedBitmapBudgetBytes) {
+    dense_storage.reserve(reach);
+    for (size_t i = 0; i < reach; ++i) {
+      if (!pinned[i]->is_bitmap()) {
+        dense_storage.push_back(pinned[i]->ForcedBitmap(universe));
+        dense[i] = &dense_storage.back();
+        result.stats.dense_twin_bytes += dense_storage.back().MemoryBytes();
+      }
+    }
+    shared.dense = &dense;
+  }
+
+  if (interrupted_before_search || no_solution_proven ||
+      shared.Interrupted()) {
     // Fall through to the common result assembly with an empty search.
   } else if (pool == nullptr) {
     // Alg. 1: dequeue roots in ascending Ĉ order.
     SearchArena arena;
     for (size_t i = 0; i < n; ++i) {
       if (shared.stop.load(std::memory_order_relaxed)) break;
-      if (shared.HasSolution() &&
-          queue[i].cost >=
-              shared.best_cost_relaxed.load(std::memory_order_relaxed)) {
-        break;  // all remaining roots are at least as expensive
+      if (shared.BoundHit(queue[i].cost)) {
+        break;  // all remaining roots cost at least as much
       }
       const bool fully_explored = ExploreRoot(i, &shared, nullptr, &arena);
       if (fully_explored && !shared.HasSolution()) {

@@ -8,10 +8,22 @@
 //   * side pruning   — siblings following a found RE (and their subtrees)
 //     cost at least as much, so they are skipped;
 //   * best-bound     — any node with Ĉ ≥ Ĉ(best) is cut (Alg. 3 line 6;
-//     sound for the sequential search as well since Ĉ is monotone);
+//     sound for the sequential search as well since Ĉ is monotone); the
+//     cut is strict (Ĉ > Ĉ(best)) for P-REMI and for a seeded search, so
+//     equal-cost nodes are still visited and the preorder-first answer
+//     wins the tie;
 //   * no-solution    — if the subtree rooted at the cheapest expression is
 //     exhausted with no RE found, the full conjunction is not an RE and no
-//     RE exists (Alg. 1 line 8).
+//     RE exists (Alg. 1 line 8); checked up front too, by intersecting
+//     every queue entry;
+// and two that Alg. 1 does not have (README "Departures from Alg. 1"):
+//   * redundant      — a conjunct that does not shrink the prefix's match
+//     set is skipped with its subtree, which a cheaper equivalent
+//     dominates;
+//   * seed pass      — before the DFS, the cheapest RE of one or two
+//     conjuncts (found by capped pair counts, at most a fixed multiple of
+//     |G| of them) is installed as the starting best, so the search runs
+//     under a near-final bound from its first node.
 //
 // P-REMI runs the per-root subtrees on a long-lived work-stealing thread
 // pool with a shared, mutex-guarded best solution and a shared stop
@@ -119,6 +131,9 @@ struct RemiStats {
   /// Conjuncts skipped because they did not shrink the match set (their
   /// subtrees are dominated by cheaper equivalents).
   uint64_t redundant_prunes = 0;
+  /// Capped pair counts issued by the seed pass before the DFS (at most
+  /// RemiMiner::kSeedProbesPerEntry * |G|). They are not search nodes.
+  uint64_t seed_probes = 0;
 
   // --- Zero-allocation kernel counters (README "Search kernel & memory
   // layout"). Together they certify the steady-state discipline: DFS
@@ -145,8 +160,9 @@ struct RemiStats {
   size_t pinned_queue_entries = 0;
   size_t pinned_queue_bytes = 0;
   /// Heap bytes of the forced-bitmap twins built for vector-rep pinned
-  /// entries (0 when the twin pass was skipped or every entry was already
-  /// a bitmap).
+  /// entries the search can reach: all of them, or under a seed only those
+  /// of Ĉ <= Ĉ(seed) (0 when the twin pass was skipped or every such entry
+  /// was already a bitmap).
   size_t dense_twin_bytes = 0;
   /// EvalCache lookups issued during the DFS itself — 0 by construction:
   /// the DFS reads only pinned views (the pinning pass and cross-request
@@ -189,6 +205,15 @@ struct RankedSubgraph {
 /// model's rankings and the evaluator's cache warm up across calls.
 class RemiMiner {
  public:
+  /// Probe budget of the seed pass, per queue entry: the pass issues at
+  /// most kSeedProbesPerEntry * |G| capped pair counts. Over the 1,440
+  /// sets of perfbench's batch_paper pool (seed 1) the largest pass took
+  /// 19.7 * |G| probes, and the pass that seeds the scale-2.0 blow-up set
+  /// {E2508, E37456} takes 103.2 * |G| (26,110 probes at |G| = 253).
+  /// Without a cap, a set whose only RE needs three or more conjuncts
+  /// would probe all |G|^2 / 2 pairs before the DFS starts.
+  static constexpr uint64_t kSeedProbesPerEntry = 128;
+
   /// \param kb the KB (not owned; must outlive the miner)
   RemiMiner(const KnowledgeBase* kb, const RemiOptions& options = {});
 
@@ -261,6 +286,11 @@ class RemiMiner {
   Result<RemiResult> MineCore(const MatchSet& sorted_targets,
                               size_t max_exceptions, ThreadPool* pool,
                               const MineControl& control) const;
+
+  /// The seed pass: installs the cheapest RE of one or two conjuncts as
+  /// the starting best, within a probe budget of a fixed multiple of |G|,
+  /// polling the deadline every 64 probes. Returns the probes issued.
+  uint64_t SeedBound(SearchShared* shared) const;
 
   /// Explores the subtree rooted at queue index `root` (DFS-REMI /
   /// P-DFS-REMI). Returns true if the subtree was fully explored (i.e. not

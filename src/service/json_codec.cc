@@ -174,6 +174,8 @@ JsonValue StatsToJson(const RemiStats& stats, const ServiceStats& service) {
           JsonValue::Number(static_cast<double>(stats.num_common_subgraphs)));
   out.Set("nodes_visited",
           JsonValue::Number(static_cast<double>(stats.nodes_visited)));
+  out.Set("seed_probes",
+          JsonValue::Number(static_cast<double>(stats.seed_probes)));
   out.Set("cache_hits",
           JsonValue::Number(static_cast<double>(stats.eval.cache_hits)));
   // Zero-allocation kernel counters (README "Search kernel & memory

@@ -312,9 +312,10 @@ int CmdMine(const std::string& path, const remi::Flags& flags) {
     }
     std::printf("\n");
   }
-  std::printf("search     : |G|=%zu, %llu nodes, %s\n",
+  std::printf("search     : |G|=%zu, %llu nodes, %llu seed probes, %s\n",
               response->stats.num_common_subgraphs,
               static_cast<unsigned long long>(response->stats.nodes_visited),
+              static_cast<unsigned long long>(response->stats.seed_probes),
               remi::FormatSeconds(timer.ElapsedSeconds()).c_str());
   std::printf("kernel     : %llu count-only, %llu frame reuses, "
               "%zu pinned KiB, %llu search cache lookups\n",
