@@ -1,13 +1,11 @@
 // Cold-open microbenchmark for the KB persistence formats.
 //
-// Builds a DBpedia-like synthetic KB, persists it three ways, and measures
+// Builds a DBpedia-like synthetic KB, persists it both ways, and measures
 // a *cold open* of each representation in a forked child process (fresh
 // address space, so per-phase peak RSS is honest):
 //
 //   * nt    — N-Triples parse + KnowledgeBase::Build (the paper's baseline
 //             of re-ingesting text);
-//   * rkf1  — RKF1 read (decode dict + triples) + KnowledgeBase::Build
-//             (re-sorts, re-indexes, re-ranks);
 //   * rkf2  — RKF2 snapshot open: checksum + validate + adopt in place,
 //             no rebuild.
 //
@@ -27,13 +25,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "kb/knowledge_base.h"
 #include "rdf/ntriples.h"
-#include "rdf/rkf.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -92,13 +90,6 @@ KnowledgeBase LoadNt(const std::string& path) {
   auto triples = parser.ParseFile(path);
   REMI_CHECK_OK(triples.status());
   return KnowledgeBase::Build(std::move(dict), std::move(*triples));
-}
-
-KnowledgeBase LoadRkf1(const std::string& path) {
-  auto data = remi::ReadRkfFile(path);
-  REMI_CHECK_OK(data.status());
-  return KnowledgeBase::Build(std::move(data->dict),
-                              std::move(data->triples));
 }
 
 KnowledgeBase LoadRkf2(const std::string& path) {
@@ -173,8 +164,8 @@ int main(int argc, char** argv) {
   std::printf("synthetic KB: %zu facts, %zu entities, %zu predicates\n",
               kb.NumFacts(), kb.NumEntities(), kb.NumPredicates());
 
-  // Persist the three representations. RKF1 and N-Triples store base
-  // facts (they rebuild); RKF2 stores the built KB. Everything goes into
+  // Persist both representations. N-Triples stores base facts (it
+  // rebuilds); RKF2 stores the built KB. Everything goes into
   // a per-process temp directory, removed on exit, so repeated runs never
   // litter the working tree.
   const std::string dir =
@@ -194,7 +185,6 @@ int main(int argc, char** argv) {
     if (!kb.IsInversePredicate(t.p)) base_facts.push_back(t);
   }
   const std::string nt_path = dir + "/kb.nt";
-  const std::string rkf_path = dir + "/kb.rkf";
   const std::string rkf2_path = dir + "/kb.rkf2";
   {
     const std::string doc = remi::WriteNTriples(kb.dict(), base_facts);
@@ -203,12 +193,10 @@ int main(int argc, char** argv) {
     std::fwrite(doc.data(), 1, doc.size(), f);
     std::fclose(f);
   }
-  REMI_CHECK_OK(remi::WriteRkfFile(kb.dict(), base_facts, rkf_path));
   REMI_CHECK_OK(kb.SaveSnapshot(rkf2_path));
 
   FormatStats formats[] = {
       {"nt", nt_path, &LoadNt},
-      {"rkf1", rkf_path, &LoadRkf1},
       {"rkf2", rkf2_path, &LoadRkf2},
   };
 
@@ -241,7 +229,7 @@ int main(int argc, char** argv) {
 
   const double nt_seconds = formats[0].best_seconds;
   std::printf("rkf2 open speedup vs N-Triples parse+build: %.1fx\n",
-              nt_seconds / formats[2].best_seconds);
+              nt_seconds / formats[1].best_seconds);
 
   FILE* out = std::fopen(flags.GetString("out").c_str(), "w");
   if (out == nullptr) {
@@ -258,7 +246,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "    \"num_entities\": %zu,\n", kb.NumEntities());
   std::fprintf(out, "    \"cold_runs\": %d\n", runs);
   std::fprintf(out, "  },\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < 3; ++i) {
+  const size_t num_formats = std::size(formats);
+  for (size_t i = 0; i < num_formats; ++i) {
     const FormatStats& fmt = formats[i];
     std::fprintf(out,
                  "    {\"format\": \"%s\", \"file_bytes\": %zu, "
@@ -266,7 +255,7 @@ int main(int argc, char** argv) {
                  "\"probe_seconds\": %.6f, \"peak_rss_kb\": %ld}%s\n",
                  fmt.name, fmt.file_bytes, fmt.best_seconds,
                  nt_seconds / fmt.best_seconds, fmt.probe_seconds,
-                 fmt.peak_rss_kb, i + 1 < 3 ? "," : "");
+                 fmt.peak_rss_kb, i + 1 < num_formats ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

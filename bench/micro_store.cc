@@ -1,6 +1,5 @@
 // Microbenchmarks of the storage substrate: dictionary interning, CSR
-// triple store lookups, EntitySet intersections, N-Triples parsing, and
-// the RKF codec.
+// triple store lookups, EntitySet intersections and N-Triples parsing.
 //
 // The lookup and intersection numbers feed BENCH_store.json (see
 // README.md): run with
@@ -14,7 +13,6 @@
 #include "kbgen/synthetic.h"
 #include "query/entity_set.h"
 #include "rdf/ntriples.h"
-#include "rdf/rkf.h"
 #include "util/random.h"
 
 namespace remi {
@@ -234,27 +232,6 @@ void BM_NTriplesParse(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 BENCHMARK(BM_NTriplesParse);
-
-void BM_RkfSerialize(benchmark::State& state) {
-  const KnowledgeBase& kb = SmallKb();
-  for (auto _ : state) {
-    const std::string bytes = SerializeRkf(kb.dict(), kb.store().spo());
-    benchmark::DoNotOptimize(bytes.size());
-  }
-}
-BENCHMARK(BM_RkfSerialize);
-
-void BM_RkfDeserialize(benchmark::State& state) {
-  const KnowledgeBase& kb = SmallKb();
-  const std::string bytes = SerializeRkf(kb.dict(), kb.store().spo());
-  for (auto _ : state) {
-    auto data = DeserializeRkf(bytes);
-    benchmark::DoNotOptimize(data->triples.size());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_RkfDeserialize);
 
 }  // namespace
 }  // namespace remi

@@ -6,7 +6,7 @@
 //
 // Without --kb, an inline N-Triples document is parsed and the built KB is
 // adopted with Service::Create; with --kb, Service::Open sniffs the format
-// (.nt / .ttl / .rkf / .rkf2) and loads the file. Either way the Service
+// (.nt / .ttl / .rkf2) and loads the file. Either way the Service
 // owns the KB, the thread pool, and the match-set cache — consumers only
 // fill in MineRequest and read MineResponse.
 
@@ -46,7 +46,7 @@ constexpr const char* kDocument = R"(
 int main(int argc, char** argv) {
   remi::Flags flags;
   flags.DefineString("kb", "",
-                     "KB file to serve (.nt/.ttl/.rkf/.rkf2); empty = the "
+                     "KB file to serve (.nt/.ttl/.rkf2); empty = the "
                      "inline capitals document");
   flags.DefineString("targets", "Paris",
                      "comma-separated entity names to describe");

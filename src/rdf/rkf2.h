@@ -1,11 +1,11 @@
 // RKF2: a versioned, section-table'd, checksummed container for zero-copy
 // KB snapshots.
 //
-// RKF1 persists raw triples, so every load still re-sorts, rebuilds the CSR
-// adjacency, and recomputes rankings. RKF2 instead stores the *built*
-// KnowledgeBase: each index array becomes one section in a flat file that
-// can be mmap'ed and adopted in place (paper §3.5.1's "open, don't
-// rebuild" HDT philosophy, pushed one level further).
+// A text KB must be parsed, sorted, CSR-indexed and ranked on every load.
+// RKF2 instead stores the *built* KnowledgeBase: each index array becomes
+// one section in a flat file that can be mmap'ed and adopted in place
+// (paper §3.5.1's "open, don't rebuild" HDT philosophy, pushed one level
+// further). It is the repository's one binary KB format.
 //
 // On-disk layout (all integers little-endian; multi-byte array sections are
 // written in host byte order and guarded by the endianness marker):

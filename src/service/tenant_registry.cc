@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "rdf/ntriples.h"
-#include "rdf/rkf.h"
 #include "rdf/turtle_lite.h"
 #include "util/json.h"
 #include "util/string_util.h"
@@ -130,12 +129,10 @@ Result<LoadedKb> LoadKbFromSpec(const KbSpec& spec) {
     return LoadedKb{std::move(*kb), 0};
   }
   if (magic == std::string("RKF1", 4)) {
-    auto data = ReadRkfFile(spec.path);
-    if (!data.ok()) return WithMessagePrefix(data.status(), spec.path);
-    return LoadedKb{
-        KnowledgeBase::Build(std::move(data->dict), std::move(data->triples),
-                             spec.kb),
-        0};
+    // Fail by name: the text parsers would load it as an empty KB.
+    return Status::Corruption(
+        spec.path + ": RKF1 is no longer supported; rebuild from the "
+        "N-Triples source with `remi_cli convert <src> <out>.rkf2`");
   }
   Dictionary dict;
   Result<std::vector<Triple>> triples = Status::Internal("unreachable");

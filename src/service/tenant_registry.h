@@ -62,13 +62,13 @@ namespace remi {
 /// \brief Where and how to open a knowledge base.
 ///
 /// The format is sniffed from the file: first by magic bytes (RKF2
-/// snapshots, RKF1 containers), then by extension (.ttl/.turtle parse as
-/// Turtle; everything else as N-Triples). This replaces the per-consumer
-/// format plumbing that used to live in the CLI.
+/// snapshots; a retired RKF1 file fails with Corruption), then by
+/// extension (.ttl/.turtle parse as Turtle; everything else as
+/// N-Triples). Every CLI subcommand and the server open KBs this way.
 struct KbSpec {
   std::string path;
-  /// Build options for text/RKF1 inputs. An .rkf2 snapshot carries its
-  /// own build options and ignores these.
+  /// Build options for text inputs. An .rkf2 snapshot carries its own
+  /// build options and ignores these.
   KbOptions kb;
   /// N-Triples only: skip malformed lines instead of failing.
   bool lenient_parse = true;

@@ -1,6 +1,5 @@
 // End-to-end integration and property tests across modules:
 //   * N-Triples serialize -> parse -> rebuild KB -> REMI agrees,
-//   * RKF round-trip -> REMI agrees,
 //   * evaluator match sets agree with brute-force membership scans,
 //   * REMI's optimum is never beaten by brute-force enumeration of small
 //     conjunctions of ranked subgraph expressions.
@@ -12,7 +11,6 @@
 #include "kbgen/synthetic.h"
 #include "kbgen/workload.h"
 #include "rdf/ntriples.h"
-#include "rdf/rkf.h"
 #include "remi/remi.h"
 
 namespace remi {
@@ -57,30 +55,6 @@ TEST(PipelineTest, NTriplesRoundTripPreservesRemiResults) {
           << name;
     }
   }
-}
-
-TEST(PipelineTest, RkfRoundTripPreservesRemiResults) {
-  KnowledgeBase kb = BuildCuratedKb();
-  const std::string bytes = SerializeRkf(kb.dict(), BaseFacts(kb));
-  auto data = DeserializeRkf(bytes);
-  ASSERT_TRUE(data.ok());
-  // The RKF dictionary also carries the (unused) inverse-predicate terms;
-  // rebuilding re-materializes the same inverse facts.
-  KnowledgeBase kb2 = KnowledgeBase::Build(std::move(data->dict),
-                                           std::move(data->triples),
-                                           CuratedKbOptions());
-  EXPECT_EQ(kb2.NumFacts(), kb.NumFacts());
-
-  RemiMiner miner1(&kb, RemiOptions{});
-  RemiMiner miner2(&kb2, RemiOptions{});
-  auto r1 = miner1.MineRe({*FindEntity(kb, "Rennes"),
-                           *FindEntity(kb, "Nantes")});
-  auto r2 = miner2.MineRe({*FindEntity(kb2, "Rennes"),
-                           *FindEntity(kb2, "Nantes")});
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1->found, r2->found);
-  EXPECT_NEAR(r1->cost, r2->cost, 1e-9);
 }
 
 // Property: for every enumerated subgraph expression, the evaluator's

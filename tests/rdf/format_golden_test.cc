@@ -1,6 +1,6 @@
 // Golden-file format-stability tests.
 //
-// Tiny canonical .rkf / .rkf2 fixtures live in tests/data/. The tests
+// Tiny canonical .rkf2 fixtures live in tests/data/. The tests
 // rebuild the same KB programmatically and assert byte-identical
 // serialization plus load-equality against the checked-in bytes, so a
 // future PR cannot silently change the on-disk formats (a format change
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "kb/knowledge_base.h"
-#include "rdf/rkf.h"
 #include "util/status.h"
 
 #ifndef REMI_TESTDATA_DIR
@@ -92,31 +91,6 @@ void WriteOrCompare(const std::string& name, const std::string& bytes) {
       << name << ": serialized size drifted from the golden fixture";
   EXPECT_TRUE(bytes == *golden)
       << name << ": serialized bytes drifted from the golden fixture";
-}
-
-TEST(FormatGoldenTest, Rkf1SerializationIsStable) {
-  GoldenKb golden;
-  WriteOrCompare("golden.rkf", SerializeRkf(golden.dict, golden.triples));
-}
-
-TEST(FormatGoldenTest, Rkf1FixtureLoadsAndMatches) {
-  auto bytes = ReadFileBytes(FixturePath("golden.rkf"));
-  if (UpdateGoldenRequested() && !bytes.ok()) {
-    GTEST_SKIP() << "fixture not generated yet";
-  }
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  auto data = DeserializeRkf(*bytes);
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-  GoldenKb golden;
-  ASSERT_EQ(data->dict.size(), golden.dict.size());
-  for (TermId id = 0; id < golden.dict.size(); ++id) {
-    EXPECT_EQ(data->dict.term(id), golden.dict.term(id)) << "term " << id;
-  }
-  std::vector<Triple> expected = golden.triples;
-  std::sort(expected.begin(), expected.end(), OrderPso());
-  EXPECT_EQ(data->triples, expected);
-  // Re-serialization of the loaded payload must reproduce the fixture.
-  EXPECT_EQ(SerializeRkf(data->dict, data->triples), *bytes);
 }
 
 TEST(FormatGoldenTest, Rkf2SerializationIsStable) {

@@ -1,4 +1,4 @@
-// Corruption fuzz harness for the RKF1 and RKF2 on-disk formats.
+// Corruption fuzz harness for the RKF2 on-disk format.
 //
 // Property: for ANY mutation of a valid image — random byte flips,
 // truncations, garbage extensions, section-table lies, and the nasty
@@ -7,195 +7,22 @@
 // with internally consistent data or fail with Corruption. It must never
 // crash, hang, or hand back structures that later reads can fall off of.
 // The suite runs thousands of seeded cases and is part of the ASan+UBSan
-// CI job, which turns any out-of-bounds read into a test failure.
+// CI job, which turns any out-of-bounds read into a test failure. The
+// mutation classes live in tests/fuzz_mutators.h.
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fuzz_mutators.h"
 #include "kb/knowledge_base.h"
-#include "rdf/rkf.h"
-#include "rdf/rkf2.h"
-#include "util/fnv.h"
-#include "util/random.h"
 
 namespace remi {
 namespace {
 
-// --- fixture images ---------------------------------------------------------
-
-/// A small but structurally rich KB: classes, labels, literals, blanks,
-/// enough shared prefixes to exercise front coding, and inverse predicates.
-KnowledgeBase FuzzKb() {
-  Dictionary dict;
-  std::vector<Triple> triples;
-  Rng rng(4242);
-  std::vector<TermId> entities;
-  for (int i = 0; i < 40; ++i) {
-    entities.push_back(
-        dict.InternIri("http://fuzz.remi.example/resource/Entity" +
-                       std::to_string(i)));
-  }
-  std::vector<TermId> preds;
-  for (int i = 0; i < 6; ++i) {
-    preds.push_back(dict.InternIri(
-        "http://fuzz.remi.example/ontology/predicate" + std::to_string(i)));
-  }
-  const TermId type_pred = dict.InternIri(kRdfTypeIri);
-  const TermId label_pred = dict.InternIri(kRdfsLabelIri);
-  const TermId cls_a = dict.InternIri("http://fuzz.remi.example/class/A");
-  const TermId cls_b = dict.InternIri("http://fuzz.remi.example/class/B");
-  const TermId blank = dict.Intern(TermKind::kBlank, "b0");
-  for (int i = 0; i < 150; ++i) {
-    triples.push_back(
-        Triple{entities[rng.NextBounded(entities.size())],
-               preds[rng.NextBounded(preds.size())],
-               entities[rng.NextBounded(entities.size())]});
-  }
-  for (size_t i = 0; i < entities.size(); ++i) {
-    triples.push_back(
-        Triple{entities[i], type_pred, i % 2 == 0 ? cls_a : cls_b});
-    triples.push_back(Triple{
-        entities[i], label_pred,
-        dict.Intern(TermKind::kLiteral,
-                    "\"entity " + std::to_string(i) + "\"@en")});
-  }
-  triples.push_back(Triple{blank, preds[0], entities[0]});
-  return KnowledgeBase::Build(std::move(dict), std::move(triples));
-}
-
-std::string Rkf1Image() {
-  const KnowledgeBase kb = FuzzKb();
-  return SerializeRkf(kb.dict(), kb.store().spo());
-}
-
 std::string Rkf2ImageBytes() { return FuzzKb().SerializeSnapshot(); }
 
-// --- checksum fix-up (the adversary's half of the harness) ------------------
-
-uint32_t ReadU32(const std::string& image, size_t at) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(image[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const std::string& image, size_t at) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(image[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void WriteU64(std::string* image, size_t at, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    (*image)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-/// Recomputes the RKF1 footer checksum after a body mutation.
-void FixRkf1Checksum(std::string* image) {
-  if (image->size() < 12) return;
-  WriteU64(image, image->size() - 8,
-           Fnv1a64(std::string_view(image->data(), image->size() - 8)));
-}
-
-/// Recomputes RKF2 per-section checksums (for every table entry whose
-/// payload range still lies within the file) plus the header/table footer,
-/// so mutated content sails past every checksum and only structural
-/// validation is left to refuse it.
-void FixRkf2Checksums(std::string* image) {
-  if (image->size() < kRkf2HeaderSize + kRkf2FooterSize) return;
-  const uint32_t count = ReadU32(*image, 12);
-  const uint64_t table_end =
-      kRkf2HeaderSize + static_cast<uint64_t>(count) * kRkf2TableEntrySize;
-  if (count <= kRkf2MaxSections &&
-      table_end + kRkf2FooterSize <= image->size()) {
-    for (uint32_t i = 0; i < count; ++i) {
-      const size_t entry = kRkf2HeaderSize + i * kRkf2TableEntrySize;
-      const uint64_t offset = ReadU64(*image, entry + 8);
-      const uint64_t length = ReadU64(*image, entry + 16);
-      if (offset > image->size() - kRkf2FooterSize ||
-          length > image->size() - kRkf2FooterSize - offset) {
-        continue;
-      }
-      WriteU64(
-          image, entry + 24,
-          Fnv1a64Wide(std::string_view(image->data() + offset, length)));
-    }
-    WriteU64(image, image->size() - 8,
-             Fnv1a64Wide(std::string_view(image->data(), table_end)));
-  }
-}
-
-// --- mutators ---------------------------------------------------------------
-
-std::string FlipByte(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  mutated[rng->NextBounded(mutated.size())] ^=
-      static_cast<char>(1 + rng->NextBounded(255));
-  return mutated;
-}
-
-std::string Truncate(const std::string& image, Rng* rng) {
-  return image.substr(0, rng->NextBounded(image.size()));
-}
-
-std::string Extend(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  const size_t extra = 1 + rng->NextBounded(16);
-  for (size_t i = 0; i < extra; ++i) {
-    mutated.push_back(static_cast<char>(rng->NextBounded(256)));
-  }
-  return mutated;
-}
-
-/// Overwrites a random field of a random RKF2 section-table entry with a
-/// lie (small perturbation or a huge value), then fixes all checksums.
-std::string SectionTableLie(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  const uint32_t count = ReadU32(mutated, 12);
-  if (count == 0) return mutated;
-  const size_t entry =
-      kRkf2HeaderSize + rng->NextBounded(count) * kRkf2TableEntrySize;
-  const size_t field = entry + 8 * (1 + rng->NextBounded(2));  // offset|length
-  const uint64_t old = ReadU64(mutated, field);
-  uint64_t lie;
-  switch (rng->NextBounded(4)) {
-    case 0: lie = old + 1 + rng->NextBounded(64); break;
-    case 1: lie = old > 64 ? old - 1 - rng->NextBounded(64) : old + 8; break;
-    case 2: lie = rng->Next(); break;
-    default: lie = mutated.size() + rng->NextBounded(1 << 20); break;
-  }
-  WriteU64(&mutated, field, lie);
-  FixRkf2Checksums(&mutated);
-  return mutated;
-}
-
 // --- consistency probes (catch "silently returns data") ---------------------
-
-void ProbeRkf1(const RkfData& data) {
-  const uint64_t limit = data.dict.size();
-  const Triple* prev = nullptr;
-  for (const Triple& t : data.triples) {
-    ASSERT_LT(t.s, limit);
-    ASSERT_LT(t.p, limit);
-    ASSERT_LT(t.o, limit);
-    if (prev != nullptr) ASSERT_TRUE(OrderPso()(*prev, t));
-    prev = &t;
-  }
-  for (TermId id = 0; id < data.dict.size(); ++id) {
-    ASSERT_LE(static_cast<int>(data.dict.kind(id)),
-              static_cast<int>(TermKind::kBlank));
-    (void)data.dict.lexical(id);
-  }
-}
 
 /// Walks every access path a loaded snapshot exposes; under ASan/UBSan any
 /// unvalidated index would fault here. Checksum-fixed mutations may yield
@@ -241,16 +68,6 @@ void ProbeKb(const KnowledgeBase& kb) {
   (void)touched;
 }
 
-void CheckRkf1Load(const std::string& image, const char* what, size_t i) {
-  SCOPED_TRACE(std::string(what) + " case " + std::to_string(i));
-  auto data = DeserializeRkf(image);
-  if (data.ok()) {
-    ProbeRkf1(*data);
-  } else {
-    EXPECT_TRUE(data.status().IsCorruption()) << data.status().ToString();
-  }
-}
-
 void CheckRkf2Load(const std::string& image, const char* what, size_t i) {
   SCOPED_TRACE(std::string(what) + " case " + std::to_string(i));
   auto kb = KnowledgeBase::OpenSnapshotBuffer(image);
@@ -262,37 +79,6 @@ void CheckRkf2Load(const std::string& image, const char* what, size_t i) {
 }
 
 // --- the harness ------------------------------------------------------------
-
-TEST(RkfFuzzTest, ByteFlipsNeverCrash) {
-  const std::string image = Rkf1Image();
-  Rng rng(101);
-  for (size_t i = 0; i < 400; ++i) {
-    CheckRkf1Load(FlipByte(image, &rng), "rkf1-flip", i);
-  }
-}
-
-TEST(RkfFuzzTest, TruncationsAndExtensionsNeverCrash) {
-  const std::string image = Rkf1Image();
-  Rng rng(102);
-  for (size_t i = 0; i < 150; ++i) {
-    CheckRkf1Load(Truncate(image, &rng), "rkf1-trunc", i);
-  }
-  for (size_t i = 0; i < 50; ++i) {
-    CheckRkf1Load(Extend(image, &rng), "rkf1-extend", i);
-  }
-}
-
-TEST(RkfFuzzTest, ChecksumFixedFlipsNeverCrash) {
-  // The hard half: the checksum is repaired after the flip, so the decoder
-  // must survive on structural validation alone.
-  const std::string image = Rkf1Image();
-  Rng rng(103);
-  for (size_t i = 0; i < 400; ++i) {
-    std::string mutated = FlipByte(image, &rng);
-    FixRkf1Checksum(&mutated);
-    CheckRkf1Load(mutated, "rkf1-fixed-flip", i);
-  }
-}
 
 TEST(Rkf2FuzzTest, ByteFlipsNeverCrash) {
   const std::string image = Rkf2ImageBytes();

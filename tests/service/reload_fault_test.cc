@@ -1,9 +1,9 @@
 // Fault-injection harness for the Service's epoch-pinned hot-swap.
 //
-// Replays the RKF2 corruption-fuzz mutation classes (random byte flips,
-// truncations, garbage extensions, section-table lies with repaired
-// checksums) as ReloadKb candidates against a LIVE service with mines in
-// flight, and asserts the registry's contract end to end:
+// Replays the RKF2 corruption-fuzz mutation classes of fuzz_mutators.h
+// (random byte flips, truncations, garbage extensions, section-table lies
+// with repaired checksums) as ReloadKb candidates against a LIVE service
+// with mines in flight, and asserts the registry's contract end to end:
 //
 //   * every validation-rejected candidate fails closed — in-band
 //     Corruption, serving generation unchanged, not one dropped or
@@ -29,157 +29,20 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz_mutators.h"
 #include "kb/knowledge_base.h"
-#include "rdf/rkf2.h"
-#include "util/fnv.h"
-#include "util/random.h"
 #include "process_temp_dir.h"
 
 namespace remi {
 namespace {
 
-// --- fixture KB and snapshot image ------------------------------------------
-
-/// Structurally rich but tiny: classes, labels, literals, a blank node,
-/// and seeded random triples — the same shape as the rdf corruption-fuzz
-/// fixture, so the mutation classes hit the same section layouts.
-KnowledgeBase FaultKb() {
-  Dictionary dict;
-  std::vector<Triple> triples;
-  Rng rng(4242);
-  std::vector<TermId> entities;
-  for (int i = 0; i < 40; ++i) {
-    entities.push_back(
-        dict.InternIri("http://fuzz.remi.example/resource/Entity" +
-                       std::to_string(i)));
-  }
-  std::vector<TermId> preds;
-  for (int i = 0; i < 6; ++i) {
-    preds.push_back(dict.InternIri(
-        "http://fuzz.remi.example/ontology/predicate" + std::to_string(i)));
-  }
-  const TermId type_pred = dict.InternIri(kRdfTypeIri);
-  const TermId label_pred = dict.InternIri(kRdfsLabelIri);
-  const TermId cls_a = dict.InternIri("http://fuzz.remi.example/class/A");
-  const TermId cls_b = dict.InternIri("http://fuzz.remi.example/class/B");
-  const TermId blank = dict.Intern(TermKind::kBlank, "b0");
-  for (int i = 0; i < 150; ++i) {
-    triples.push_back(
-        Triple{entities[rng.NextBounded(entities.size())],
-               preds[rng.NextBounded(preds.size())],
-               entities[rng.NextBounded(entities.size())]});
-  }
-  for (size_t i = 0; i < entities.size(); ++i) {
-    triples.push_back(
-        Triple{entities[i], type_pred, i % 2 == 0 ? cls_a : cls_b});
-    triples.push_back(Triple{
-        entities[i], label_pred,
-        dict.Intern(TermKind::kLiteral,
-                    "\"entity " + std::to_string(i) + "\"@en")});
-  }
-  triples.push_back(Triple{blank, preds[0], entities[0]});
-  return KnowledgeBase::Build(std::move(dict), std::move(triples));
-}
+// --- fixture files ----------------------------------------------------------
 
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(out.good()) << path;
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
-}
-
-// --- mutators (the rdf corruption-fuzz classes) -----------------------------
-
-uint32_t ReadU32(const std::string& image, size_t at) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(image[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const std::string& image, size_t at) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(image[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void WriteU64(std::string* image, size_t at, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    (*image)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-/// Repairs every checksum after a mutation, so only the loader's
-/// structural validation stands between the registry and the lie.
-void FixRkf2Checksums(std::string* image) {
-  if (image->size() < kRkf2HeaderSize + kRkf2FooterSize) return;
-  const uint32_t count = ReadU32(*image, 12);
-  const uint64_t table_end =
-      kRkf2HeaderSize + static_cast<uint64_t>(count) * kRkf2TableEntrySize;
-  if (count <= kRkf2MaxSections &&
-      table_end + kRkf2FooterSize <= image->size()) {
-    for (uint32_t i = 0; i < count; ++i) {
-      const size_t entry = kRkf2HeaderSize + i * kRkf2TableEntrySize;
-      const uint64_t offset = ReadU64(*image, entry + 8);
-      const uint64_t length = ReadU64(*image, entry + 16);
-      if (offset > image->size() - kRkf2FooterSize ||
-          length > image->size() - kRkf2FooterSize - offset) {
-        continue;
-      }
-      WriteU64(
-          image, entry + 24,
-          Fnv1a64Wide(std::string_view(image->data() + offset, length)));
-    }
-    WriteU64(image, image->size() - 8,
-             Fnv1a64Wide(std::string_view(image->data(), table_end)));
-  }
-}
-
-std::string FlipByte(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  mutated[rng->NextBounded(mutated.size())] ^=
-      static_cast<char>(1 + rng->NextBounded(255));
-  return mutated;
-}
-
-std::string Truncate(const std::string& image, Rng* rng) {
-  // Keep at least the magic: a sub-4-byte stub is no longer *an RKF2
-  // image* and would be (correctly) routed to the text parsers instead.
-  return image.substr(0, 4 + rng->NextBounded(image.size() - 4));
-}
-
-std::string Extend(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  const size_t extra = 1 + rng->NextBounded(16);
-  for (size_t i = 0; i < extra; ++i) {
-    mutated.push_back(static_cast<char>(rng->NextBounded(256)));
-  }
-  return mutated;
-}
-
-std::string SectionTableLie(const std::string& image, Rng* rng) {
-  std::string mutated = image;
-  const uint32_t count = ReadU32(mutated, 12);
-  if (count == 0) return mutated;
-  const size_t entry =
-      kRkf2HeaderSize + rng->NextBounded(count) * kRkf2TableEntrySize;
-  const size_t field = entry + 8 * (1 + rng->NextBounded(2));  // offset|length
-  const uint64_t old = ReadU64(mutated, field);
-  uint64_t lie;
-  switch (rng->NextBounded(4)) {
-    case 0: lie = old + 1 + rng->NextBounded(64); break;
-    case 1: lie = old > 64 ? old - 1 - rng->NextBounded(64) : old + 8; break;
-    case 2: lie = rng->Next(); break;
-    default: lie = mutated.size() + rng->NextBounded(1 << 20); break;
-  }
-  WriteU64(&mutated, field, lie);
-  FixRkf2Checksums(&mutated);
-  return mutated;
 }
 
 /// The seeded corruption classes, pre-filtered to mutants the snapshot
@@ -193,7 +56,9 @@ std::vector<std::string> RejectedMutants(const std::string& image) {
   Rng rng(7001);
   std::vector<std::string> raw;
   for (int i = 0; i < 40; ++i) raw.push_back(FlipByte(image, &rng));
-  for (int i = 0; i < 20; ++i) raw.push_back(Truncate(image, &rng));
+  // Keep at least the magic: a sub-4-byte stub is no longer *an RKF2
+  // image* and would be (correctly) routed to the text parsers instead.
+  for (int i = 0; i < 20; ++i) raw.push_back(Truncate(image, &rng, 4));
   for (int i = 0; i < 10; ++i) raw.push_back(Extend(image, &rng));
   for (int i = 0; i < 15; ++i) raw.push_back(SectionTableLie(image, &rng));
   for (std::string& mutant : raw) {
@@ -221,7 +86,7 @@ struct BaselineResult {
 class ReloadFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    image_ = FaultKb().SerializeSnapshot();
+    image_ = FuzzKb().SerializeSnapshot();
     dir_ = ProcessTempDir();
     good_path_ = dir_ + "/reload_fault_good.rkf2";
     WriteFile(good_path_, image_);
@@ -380,8 +245,25 @@ TEST_F(ReloadFaultTest, GarbageThatLosesTheMagicAlsoFailsClosed) {
   EXPECT_FALSE(missing_response.status.ok());
   EXPECT_EQ(service_->generation(), 1u);
 
-  EXPECT_EQ(service_->counters().reloads_rejected, 2u);
+  // An image of the retired RKF1 format, under the default lenient
+  // parse: the text parser would skip every line and publish an empty
+  // KB, so the loader rejects the magic by name.
+  const std::string rkf1_path = dir_ + "/reload_fault_retired.rkf";
+  WriteFile(rkf1_path, std::string("RKF1\x01\x00\x00\x00stub", 12));
+  ReloadKbRequest retired;
+  retired.spec.path = rkf1_path;
+  const ReloadKbResponse retired_response = service_->ReloadKb(retired);
+  EXPECT_TRUE(retired_response.status.IsCorruption())
+      << retired_response.status.ToString();
+  EXPECT_NE(retired_response.status.message().find("RKF1"),
+            std::string::npos)
+      << retired_response.status.ToString();
+  EXPECT_EQ(retired_response.generation, 1u);
+  EXPECT_EQ(service_->generation(), 1u);
+
+  EXPECT_EQ(service_->counters().reloads_rejected, 3u);
   std::remove(path.c_str());
+  std::remove(rkf1_path.c_str());
 }
 
 TEST_F(ReloadFaultTest, RequestPinnedAcrossSwapCompletesByteIdentical) {
@@ -480,7 +362,7 @@ TEST_F(ReloadFaultTest, ReloadToDifferentKbServesNewContent) {
 // --- concurrent hammer (also in the CI TSan filter) -------------------------
 
 TEST(ServiceReloadHammerTest, ConcurrentMinesAndReloadsNeverDropARequest) {
-  const std::string image = FaultKb().SerializeSnapshot();
+  const std::string image = FuzzKb().SerializeSnapshot();
   const std::string dir = ProcessTempDir();
   const std::string good_path = dir + "/reload_hammer_good.rkf2";
   WriteFile(good_path, image);

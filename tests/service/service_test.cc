@@ -84,16 +84,6 @@ TEST(ServiceOpenTest, OpensNTriples) {
   EXPECT_GT(service->kb().NumEntities(), 0u);
 }
 
-TEST(ServiceOpenTest, OpensRkf1AndRkf2ByMagic) {
-  for (const char* name : {"golden.rkf", "golden.rkf2"}) {
-    KbSpec spec;
-    spec.path = TestDataPath(name);
-    auto service = Service::Open(spec);
-    ASSERT_TRUE(service.ok()) << name << ": " << service.status().ToString();
-    EXPECT_GT((*service)->kb().NumFacts(), 0u) << name;
-  }
-}
-
 TEST(ServiceOpenTest, SniffsMagicOverMisleadingExtension) {
   // An RKF2 snapshot renamed to .nt must still open as a snapshot.
   std::ifstream in(TestDataPath("golden.rkf2"), std::ios::binary);

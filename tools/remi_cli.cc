@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   remi stats <kb>                          KB statistics
-//   remi convert <in> <out>                  N-Triples / RKF / RKF2 conversion
+//   remi convert <in> <out>                  any input -> N-Triples or RKF2
 //   remi snapshot <in> <out.rkf2>            build a KB, save an RKF2 snapshot
 //   remi mine <kb> --targets <iri[,iri...]>  mine the most intuitive RE
 //   remi mine <kb> --batch <file>            mine many sets (one per line)
@@ -27,9 +27,9 @@
 // opens the KB before replying (--lazy registers it as a catalog entry
 // instead); --kb-max-inflight/--kb-max-queued set its admission quota.
 //
-// <kb> is anything KbSpec understands: N-Triples (.nt), Turtle (.ttl),
-// RKF (.rkf), or an RKF2 snapshot (.rkf2; opened zero-copy, no rebuild) —
-// the format is sniffed by magic bytes and extension inside the Service.
+// <kb> (and convert's <in>) is anything KbSpec understands: N-Triples
+// (.nt), Turtle (.ttl), or an RKF2 snapshot (.rkf2; opened zero-copy, no
+// rebuild) — the format is sniffed by magic bytes and extension.
 // Targets accept full IRIs or unique IRI suffixes (e.g. "Paris" matches
 // <http://dbpedia.org/resource/Paris> if unambiguous). A --batch file
 // holds one comma-separated target set per line ('#' starts a comment);
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "rdf/ntriples.h"
-#include "rdf/rkf.h"
 #include "service/frame_codec.h"
 #include "service/service.h"
 #include "service/wire_client.h"
@@ -68,7 +67,7 @@ int Fail(const Status& status) {
 }
 
 /// Opens the serving façade over `path`, applying the CLI's KB and mining
-/// flags. Every subcommand except `convert` goes through this.
+/// flags. Every subcommand that reads a KB goes through this.
 Result<std::unique_ptr<remi::Service>> OpenService(
     const std::string& path, const remi::Flags& flags) {
   remi::KbSpec spec;
@@ -152,49 +151,30 @@ int CmdSnapshot(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
-/// Format conversion stays below the Service: it moves raw triples
-/// between containers without ever serving requests.
+/// Writes the base facts of `in_path` as an RKF2 snapshot when `out_path`
+/// ends in .rkf2, as N-Triples otherwise. The input opens like every
+/// other subcommand's, so any format KbSpec sniffs converts.
 int CmdConvert(const std::string& in_path, const std::string& out_path,
                const remi::Flags& flags) {
   if (remi::EndsWith(out_path, ".rkf2")) {
     return CmdSnapshot(in_path, out_path, flags);
   }
-  remi::Dictionary dict;
+  auto service = OpenService(in_path, flags);
+  if (!service.ok()) return Fail(service.status());
+  // The built KB also holds the materialized inverse-predicate facts.
+  const remi::KnowledgeBase& kb = (*service)->kb();
   std::vector<remi::Triple> triples;
-  if (remi::EndsWith(in_path, ".rkf2")) {
-    // A snapshot stores the *built* KB; recover the base facts by
-    // dropping the materialized inverse-predicate triples.
-    auto kb = remi::KnowledgeBase::OpenSnapshot(in_path);
-    if (!kb.ok()) return Fail(remi::WithMessagePrefix(kb.status(), in_path));
-    // Deep-copy: the snapshot's dictionary is a view into the mapped
-    // file, which dies with `kb` at the end of this block.
-    dict = kb->dict().OwnedCopy();
-    for (const remi::Triple& t : kb->store().spo()) {
-      if (!kb->IsInversePredicate(t.p)) triples.push_back(t);
-    }
-  } else if (remi::EndsWith(in_path, ".rkf")) {
-    auto data = remi::ReadRkfFile(in_path);
-    if (!data.ok()) return Fail(remi::WithMessagePrefix(data.status(), in_path));
-    dict = std::move(data->dict);
-    triples = std::move(data->triples);
-  } else {
-    remi::NTriplesParser parser(&dict, /*lenient=*/true);
-    auto parsed = parser.ParseFile(in_path);
-    if (!parsed.ok()) return Fail(remi::WithMessagePrefix(parsed.status(), in_path));
-    triples = std::move(*parsed);
+  for (const remi::Triple& t : kb.store().spo()) {
+    if (!kb.IsInversePredicate(t.p)) triples.push_back(t);
   }
-  const size_t num_triples = triples.size();
-  if (remi::EndsWith(out_path, ".rkf")) {
-    auto status = remi::WriteRkfFile(dict, std::move(triples), out_path);
-    if (!status.ok()) return Fail(remi::WithMessagePrefix(status, out_path));
-  } else {
-    const std::string doc = remi::WriteNTriples(dict, triples);
-    FILE* f = std::fopen(out_path.c_str(), "wb");
-    if (f == nullptr) return Fail(Status::IoError("cannot open " + out_path));
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+  const std::string doc = remi::WriteNTriples(kb.dict(), triples);
+  FILE* f = std::fopen(out_path.c_str(), "wb");
+  if (f == nullptr) return Fail(Status::IoError("cannot open " + out_path));
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  if (std::fclose(f) != 0 || !written) {
+    return Fail(Status::IoError("cannot write " + out_path));
   }
-  std::printf("wrote %s (%zu triples)\n", out_path.c_str(), num_triples);
+  std::printf("wrote %s (%zu triples)\n", out_path.c_str(), triples.size());
   return 0;
 }
 

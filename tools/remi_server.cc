@@ -5,7 +5,7 @@
 //               [--inverse-fraction 0.01] [--catalog catalog.json]
 //               [--tenant-max-inflight 0] [--tenant-max-queued 0]
 //
-// <kb> is any format KbSpec understands (.nt / .ttl / .rkf / .rkf2; RKF2
+// <kb> is any format KbSpec understands (.nt / .ttl / .rkf2; RKF2
 // snapshots open zero-copy). The epoll core (src/service/event_server.h)
 // serves both wire protocols on one port, autodetected per connection:
 // the length-prefixed binary framing (request-id multiplexed,
