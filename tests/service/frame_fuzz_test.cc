@@ -14,13 +14,13 @@
 //     frame after it, however many bytes follow.
 //
 // Frames wholly before a mutated byte must still decode unchanged, and a
-// truncated stream is never an error, only kNeedMore. The seed is echoed;
-// set REMI_FRAME_FUZZ_SEED to replay another.
+// truncated stream is never an error, only kNeedMore. The seed is a
+// constant, echoed so a failing log names it.
 
 #include "service/frame_codec.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,14 +41,11 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
+constexpr uint64_t kSeed = 20261020;
+
 uint64_t FuzzSeed() {
-  const char* env = std::getenv("REMI_FRAME_FUZZ_SEED");
-  const uint64_t seed =
-      env != nullptr && env[0] != '\0' ? std::strtoull(env, nullptr, 10)
-                                       : 20261020;
-  std::cout << "[ fuzz     ] frame seed=" << seed
-            << " (replay with REMI_FRAME_FUZZ_SEED=" << seed << ")\n";
-  return seed;
+  std::cout << "[ fuzz     ] frame seed=" << kSeed << "\n";
+  return kSeed;
 }
 
 std::vector<Frame> Corpus(Rng* rng) {

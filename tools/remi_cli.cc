@@ -66,34 +66,58 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Opens the serving façade over `path`, applying the CLI's KB and mining
-/// flags. Every subcommand that reads a KB goes through this.
-Result<std::unique_ptr<remi::Service>> OpenService(
-    const std::string& path, const remi::Flags& flags) {
+/// The KbSpec every subcommand opens `path` with.
+remi::KbSpec SpecFor(const std::string& path, const remi::Flags& flags) {
   remi::KbSpec spec;
   spec.path = path;
   spec.kb.inverse_top_fraction = flags.GetDouble("inverse-fraction");
+  return spec;
+}
 
+/// Warns about skipped input lines and an --inverse-fraction that an
+/// .rkf2 input overrides.
+void WarnAboutLoad(const std::string& path, const remi::Flags& flags,
+                   const remi::KnowledgeBase& kb, size_t skipped_lines) {
+  if (skipped_lines > 0) {
+    std::fprintf(stderr, "warning: skipped %zu malformed lines\n",
+                 skipped_lines);
+  }
+  if (remi::EndsWith(path, ".rkf2") && flags.WasSet("inverse-fraction") &&
+      kb.options().inverse_top_fraction !=
+          flags.GetDouble("inverse-fraction")) {
+    std::fprintf(stderr,
+                 "note: snapshot was built with --inverse-fraction %g; "
+                 "the flag is ignored for .rkf2 inputs\n",
+                 kb.options().inverse_top_fraction);
+  }
+}
+
+/// Opens the serving façade over `path`, applying the CLI's KB and mining
+/// flags. Every subcommand that mines or reports on a KB goes through this.
+Result<std::unique_ptr<remi::Service>> OpenService(
+    const std::string& path, const remi::Flags& flags) {
   remi::ServiceOptions options;
   options.mining.num_threads = static_cast<int>(flags.GetInt("threads"));
   // One caller: no need for an admission queue.
   options.max_in_flight = 0;
 
-  auto service = remi::Service::Open(spec, options);
-  if (service.ok() && (*service)->parse_skipped_lines() > 0) {
-    std::fprintf(stderr, "warning: skipped %zu malformed lines\n",
-                 (*service)->parse_skipped_lines());
-  }
-  if (service.ok() && remi::EndsWith(path, ".rkf2") &&
-      flags.WasSet("inverse-fraction") &&
-      (*service)->kb().options().inverse_top_fraction !=
-          flags.GetDouble("inverse-fraction")) {
-    std::fprintf(stderr,
-                 "note: snapshot was built with --inverse-fraction %g; "
-                 "the flag is ignored for .rkf2 inputs\n",
-                 (*service)->kb().options().inverse_top_fraction);
+  auto service = remi::Service::Open(SpecFor(path, flags), options);
+  if (service.ok()) {
+    WarnAboutLoad(path, flags, (*service)->kb(),
+                  (*service)->parse_skipped_lines());
   }
   return service;
+}
+
+/// Opens `path` with the loader alone, without a Service: for the
+/// subcommands that only write the KB back out.
+Result<remi::LoadedKb> LoadKb(const std::string& path,
+                              const remi::Flags& flags) {
+  auto loaded = remi::LoadKbFromSpec(SpecFor(path, flags));
+  if (loaded.ok()) {
+    WarnAboutLoad(path, flags, loaded->kb, loaded->parse_skipped_lines);
+  }
+  return loaded;
 }
 
 /// Shared request knobs: cost metric, language bias, deadline.
@@ -138,9 +162,9 @@ int CmdStats(const std::string& path, const remi::Flags& flags) {
 /// Builds a KB from `in_path` and writes it as an RKF2 snapshot.
 int CmdSnapshot(const std::string& in_path, const std::string& out_path,
                 const remi::Flags& flags) {
-  auto service = OpenService(in_path, flags);
-  if (!service.ok()) return Fail(service.status());
-  const remi::KnowledgeBase& kb = (*service)->kb();
+  auto loaded = LoadKb(in_path, flags);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const remi::KnowledgeBase& kb = loaded->kb;
   remi::Timer timer;
   if (auto status = kb.SaveSnapshot(out_path); !status.ok()) {
     return Fail(remi::WithMessagePrefix(status, out_path));
@@ -159,10 +183,10 @@ int CmdConvert(const std::string& in_path, const std::string& out_path,
   if (remi::EndsWith(out_path, ".rkf2")) {
     return CmdSnapshot(in_path, out_path, flags);
   }
-  auto service = OpenService(in_path, flags);
-  if (!service.ok()) return Fail(service.status());
+  auto loaded = LoadKb(in_path, flags);
+  if (!loaded.ok()) return Fail(loaded.status());
   // The built KB also holds the materialized inverse-predicate facts.
-  const remi::KnowledgeBase& kb = (*service)->kb();
+  const remi::KnowledgeBase& kb = loaded->kb;
   std::vector<remi::Triple> triples;
   for (const remi::Triple& t : kb.store().spo()) {
     if (!kb.IsInversePredicate(t.p)) triples.push_back(t);
